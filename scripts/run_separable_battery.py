@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Soundness scan: run every criterion over random separable states.
 
-A correct build prints zero ENTANGLED verdicts.  Useful when touching
-tolerances, padding policy or the map catalog.
+Each state is checked twice: as a state, and as its complete moment table
+(every two-mode monomial with powers <= 3, enough for all criteria here), so
+the scan covers the table path too.  A correct build prints zero ENTANGLED
+verdicts.  Useful when touching tolerances, padding policy or the map catalog.
 
 Usage: python scripts/run_separable_battery.py [--states N] [--seed S]
 """
 
 import argparse
+import itertools
 import time
 
 import numpy as np
@@ -24,7 +27,8 @@ from momentcrit.criteria import (
     realign_norm_test,
     sv_cat_state_test,
 )
-from momentcrit.moments import OperatorClass
+from momentcrit.fock import Monomial
+from momentcrit.moments import OperatorClass, TableSource, moment
 from momentcrit.posmaps import BreuerParams, breuer_antidiagonal_unitary, breuer_map, stormer_map
 from momentcrit.sampling import (
     random_coherent_product,
@@ -50,6 +54,13 @@ CRITERIA = {
     "breuer_map": lambda s: map_test(s, F2, BREUER4, side="A", r=(2, 5)),
     "breuer_bell": breuer_bell_test,
 }
+POWERS = list(itertools.product(range(4), repeat=2))
+
+
+def complete_table(state) -> TableSource:
+    """Every two-mode moment with powers <= 3, read off the state."""
+    specs = [Monomial((pa, pb)) for pa in POWERS for pb in POWERS]
+    return TableSource({s: moment(state, s) for s in specs}, 2, label=f"table:{state.label}")
 
 
 def main():
@@ -73,15 +84,16 @@ def main():
     start = time.perf_counter()
     false_flags = 0
     for i, state in enumerate(battery):
-        for name, criterion in CRITERIA.items():
-            verdict = criterion(state)
-            if verdict.outcome is Outcome.ENTANGLED:
-                false_flags += 1
-                print(f"FALSE FLAG on state #{i} ({state.label}) by {name}: {verdict.witness}")
+        for source in (state, complete_table(state)):
+            for name, criterion in CRITERIA.items():
+                verdict = criterion(source)
+                if verdict.outcome is Outcome.ENTANGLED:
+                    false_flags += 1
+                    print(f"FALSE FLAG on #{i} ({source.label}) by {name}: {verdict.witness}")
     elapsed = time.perf_counter() - start
     print(
-        f"{len(battery)} separable states x {len(CRITERIA)} criteria "
-        f"in {elapsed:.1f}s: {false_flags} ENTANGLED verdicts"
+        f"{len(battery)} separable states, each as state and as table, x {len(CRITERIA)} "
+        f"criteria in {elapsed:.1f}s: {false_flags} ENTANGLED verdicts"
     )
     raise SystemExit(1 if false_flags else 0)
 

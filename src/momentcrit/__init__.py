@@ -23,9 +23,9 @@ from .fock import (
 )
 from .moments import (
     GenericClass,
-    GenericMomentMatrix,
     MomentMatrix,
     OperatorClass,
+    TableSource,
     build_generic_moment_matrix,
     build_moment_matrix,
     build_pt_moment_matrix,
@@ -80,9 +80,6 @@ from .criteria import (
     sylvester_scan,
 )
 from .reconstruct import (
-    StateSource,
-    TableSource,
-    as_source,
     density_element,
     reconstruct_density,
     state_level_tests,

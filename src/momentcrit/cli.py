@@ -7,7 +7,8 @@ Subcommands:
   list-criteria           show the available criterion names
 
 Config and report are JSON; complex numbers are [re, im] pairs.  Exit codes:
-0 = ran, nothing detected; 3 = ran, at least one ENTANGLED verdict;
+0 = ran, nothing detected; 3 = ran, at least one ENTANGLED verdict (takes
+precedence); 4 = ran, at least one ERROR record and no ENTANGLED verdict;
 2 = config error; 1 = internal error (analyze) / failures (regress).
 """
 
@@ -49,7 +50,7 @@ from .posmaps import (
     kossakowski_map,
     stormer_map,
 )
-from .reconstruct import TableSource, state_level_tests, two_qubit_density
+from .reconstruct import TableSource, reconstruct_density, state_level_tests, two_qubit_density
 from .regression import run_regression_suite
 from .states import build_state, list_states
 
@@ -59,6 +60,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_ENTANGLED = 3
+EXIT_ERRORS = 4
 
 
 class ConfigError(ValueError):
@@ -204,9 +206,7 @@ def _state_from_config(cfg: RunConfig):
             Monomial.from_string(key, num_modes): _complex_from(value)
             for key, value in spec["moments"].items()
         }
-        source = TableSource(table, num_modes, label=spec.get("label", "moment-table"))
-        source.dims = tuple(int(d) for d in dims)
-        return source
+        return TableSource(table, num_modes, label=spec.get("label", "moment-table"), dims=dims)
     raise ConfigError(
         "state must specify one of: library, amplitudes, density, moments"
     )
@@ -335,23 +335,17 @@ def _run_sv_cat(state, params, tol):
 
 
 def _run_state_ppt(state, params, tol):
-    if isinstance(state, TableSource):
-        dims = params.get("dims", getattr(state, "dims", None))
-        if tuple(dims) == (2, 2):
-            rho = two_qubit_density(state)
-        else:
-            from .reconstruct import reconstruct_density
-
-            rho = reconstruct_density(state, tuple(dims))
-        return state_level_tests(rho, tuple(dims), tol=tol)
-    dims = params.get("dims")
+    dims = params.get("dims", getattr(state, "dims", None))
     if dims is None:
         raise ConfigError("state_ppt needs 'dims' = [d_a, d_b]")
-    if isinstance(state, StateVector):
+    dims = tuple(dims)
+    if isinstance(state, TableSource):
+        rho = two_qubit_density(state) if dims == (2, 2) else reconstruct_density(state, dims)
+    elif isinstance(state, StateVector):
         rho = state.density()
     else:
         rho = state
-    return state_level_tests(rho, tuple(dims), tol=tol)
+    return state_level_tests(rho, dims, tol=tol)
 
 
 CRITERIA = {
@@ -378,7 +372,7 @@ def run(config: RunConfig) -> dict:
     state = _state_from_config(config)
     label = getattr(state, "label", "state")
     records = []
-    entangled = 0
+    entangled = errors = 0
     for spec in config.criteria:
         runner, _ = CRITERIA[spec.name]
         try:
@@ -387,6 +381,7 @@ def run(config: RunConfig) -> dict:
                 records.append(verdict_to_dict(v))
                 entangled += int(v.outcome is Outcome.ENTANGLED)
         except Exception as exc:
+            errors += 1
             records.append(
                 {
                     "criterion": spec.name,
@@ -400,6 +395,7 @@ def run(config: RunConfig) -> dict:
         "state": label,
         "verdicts": records,
         "entangled_count": entangled,
+        "error_count": errors,
         "summary": summary,
     }
 
@@ -524,7 +520,9 @@ def main(argv: list[str] | None = None) -> int:
         _emit(json.dumps(report, indent=2), args.out)
     else:
         _emit(format_human(report), args.out)
-    return EXIT_ENTANGLED if report["entangled_count"] > 0 else EXIT_OK
+    if report["entangled_count"] > 0:
+        return EXIT_ENTANGLED
+    return EXIT_ERRORS if report["error_count"] > 0 else EXIT_OK
 
 
 def console_main() -> None:

@@ -14,6 +14,7 @@ actually used.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -42,6 +43,8 @@ from .reorder import nu_gamma, nu_realign
 
 TOL_EXACT = 1e-9
 TOL_COHERENT = 1e-6
+#: Largest number of principal minors a full Sylvester scan may enumerate.
+MINOR_SCAN_BUDGET = 100_000
 
 
 class Outcome(str, Enum):
@@ -124,6 +127,12 @@ def sylvester_scan(
         raise ValueError("sylvester_scan expects a Hermitian matrix")
     size = m.shape[0]
     if r_list is None:
+        count = sum(math.comb(size, k) for k in range(1, min(max_minor_size, size) + 1))
+        if count > MINOR_SCAN_BUDGET:
+            raise ValueError(
+                f"a scan of {size} rows up to size {max_minor_size} has {count} minors, "
+                f"above the budget of {MINOR_SCAN_BUDGET}; pass r_list or lower max_minor_size"
+            )
         candidates = [
             r
             for k in range(1, min(max_minor_size, size) + 1)
@@ -294,12 +303,21 @@ def map_test(
 # -- named moment-inequality shortcuts ----------------------------------------
 
 
-def _mono(state: State, text: str) -> Monomial:
-    return Monomial.from_string(text, state.num_modes)
+def _ev(state: State, *texts: str) -> complex:
+    """Expectation of the product of monomials given in the compact letter form."""
+    return op_expectation(state, tuple(Monomial.from_string(t, state.num_modes) for t in texts))
 
 
 def _letters(modes: tuple[int, ...]) -> str:
     return "".join("abcdefghijklmnopqrstuvwxyz"[q] for q in modes)
+
+
+def _check_modes(state: State, modes: tuple[int, ...], criterion: str) -> None:
+    if len(set(modes)) != len(modes) or not set(modes) <= set(range(state.num_modes)):
+        raise DimensionError(
+            f"{criterion} needs {len(modes)} distinct modes of the state, "
+            f"got {tuple(modes)} on a {state.num_modes}-mode state"
+        )
 
 
 def hz_two_mode(
@@ -312,15 +330,15 @@ def hz_two_mode(
     product condition <N_a><N_b> < |<a b>|^2 is evaluated and recorded in the
     witness as well.
     """
+    _check_modes(state, modes, "hz_two_mode")
     tol = resolve_tol(state, tol)
-    qa, qb = modes
-    la, lb = _letters((qa,)), _letters((qb,))
-    n_ab = op_expectation(state, (_mono(state, la.upper() + la + lb.upper() + lb),)).real
-    ab_dag = op_expectation(state, (_mono(state, la + lb.upper()),))
+    la, lb = _letters(modes)
+    n_ab = _ev(state, la.upper() + la + lb.upper() + lb).real
+    ab_dag = _ev(state, la + lb.upper())
     det = n_ab - abs(ab_dag) ** 2
-    n_a = op_expectation(state, (_mono(state, la.upper() + la),)).real
-    n_b = op_expectation(state, (_mono(state, lb.upper() + lb),)).real
-    ab = op_expectation(state, (_mono(state, la + lb),))
+    n_a = _ev(state, la.upper() + la).real
+    n_b = _ev(state, lb.upper() + lb).real
+    ab = _ev(state, la + lb)
     product_margin = n_a * n_b - abs(ab) ** 2
     outcome, boundary = _negativity_outcome(det, tol)
     return Verdict(
@@ -354,23 +372,16 @@ def hz_three_mode(
     Equality within tol is INCONCLUSIVE with the boundary flag set; the
     inequalities are strict.
     """
+    _check_modes(state, modes, "hz_three_mode")
     tol = resolve_tol(state, tol)
-    qa, qb, qc = modes
-    la, lb, lc = (_letters((q,)) for q in modes)
+    la, lb, lc = _letters(modes)
     if variant == 1:
-        lhs = op_expectation(
-            state,
-            (_mono(state, la.upper() + la + lb.upper() + lb + lc.upper() + lc),),
-        ).real
-        amp = op_expectation(state, (_mono(state, la.upper() + lb + lc),))
+        lhs = _ev(state, la.upper() + la + lb.upper() + lb + lc.upper() + lc).real
+        amp = _ev(state, la.upper() + lb + lc)
         names = ("n_a_n_b_n_c", "abs_sq_adag_b_c")
     elif variant == 2:
-        n_a = op_expectation(state, (_mono(state, la.upper() + la),)).real
-        n_bc = op_expectation(
-            state, (_mono(state, lb.upper() + lb + lc.upper() + lc),)
-        ).real
-        lhs = n_a * n_bc
-        amp = op_expectation(state, (_mono(state, la + lb + lc),))
+        lhs = _ev(state, la.upper() + la).real * _ev(state, lb.upper() + lb + lc.upper() + lc).real
+        amp = _ev(state, la + lb + lc)
         names = ("n_a_times_n_b_n_c", "abs_sq_a_b_c")
     else:
         raise ValueError("variant must be 1 or 2")
@@ -397,17 +408,13 @@ def breuer_inequality_test(
     the determinant condition on the 2x2 submatrix produced by the partial
     time-reversal map on the redundant class (1,a,Aa,1) x (1,b,Bb,1).
     """
+    _check_modes(state, modes, "breuer_inequality")
     tol = resolve_tol(state, tol)
-    qa, qb = modes
-    la, lb = _letters((qa,)), _letters((qb,))
-    num = _mono(state, la.upper() + la)  # N_a
-    n_ab = op_expectation(
-        state, (_mono(state, la.upper() + la + lb.upper() + lb),)
-    ).real
-    n2_ab = op_expectation(state, (num, num, _mono(state, lb.upper() + lb))).real
-    n_a_b = op_expectation(state, (num, _mono(state, lb)))
-    adag_b = op_expectation(state, (_mono(state, la.upper() + lb),))
-    off = n_a_b + adag_b
+    la, lb = _letters(modes)
+    num_a = la.upper() + la
+    n_ab = _ev(state, num_a + lb.upper() + lb).real
+    n2_ab = _ev(state, num_a, num_a, lb.upper() + lb).real
+    off = _ev(state, num_a, lb) + _ev(state, la.upper() + lb)
     lhs = 2 * (n_ab + n2_ab)
     rhs = abs(off) ** 2
     det = lhs - rhs

@@ -23,7 +23,7 @@ class InsufficientCutoffError(ValueError):
 
 
 class MissingMomentError(KeyError):
-    """A moment table lacks entries needed by a reconstruction."""
+    """A moment table lacks entries needed by a criterion or a reconstruction."""
 
     def __init__(self, missing: list[str]):
         self.missing = list(missing)

@@ -18,15 +18,22 @@ creation power plus the largest annihilation power appearing in the operator
 class.  Ladder products then act exactly on the state's support, so all
 finite-excitation fixtures are exact and coherent states converge with the
 deficit-controlled cutoff.
+
+This module is the only place a moment is evaluated: a Fock state through
+dense operators on its padded working space, a measured ``TableSource`` by
+lookup.  Operator products are normally ordered first, so both feed every
+criterion and the reconstruction alike.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, InconsistentMomentsError, MissingMomentError
 from .fock import (
     ModeCutoffs,
     Monomial,
@@ -178,16 +185,21 @@ class GenericClass:
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Hermitian matrix of moments M_ij = <f_i^dag f_j> over a flattened class."""
+    """Hermitian matrix of moments M_ij = <f_i^dag f_j> over a flattened class.
+
+    ``d_a``/``d_b`` are the side sizes of a tensor class, None for a generic one.
+    """
 
     entries: np.ndarray
-    d_a: int
-    d_b: int
+    d_a: int | None = None
+    d_b: int | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (self.d_a * self.d_b, self.d_a * self.d_b):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionError("moment matrix must be square")
+        if self.d_a is not None and m.shape[0] != self.d_a * self.d_b:
             raise DimensionError("entries do not match d_a * d_b")
         if np.max(np.abs(m - m.conj().T)) > _HERMITICITY_TOL:
             raise ValueError("moment matrix is not Hermitian within 1e-10")
@@ -197,32 +209,10 @@ class MomentMatrix:
 
     @property
     def size(self) -> int:
-        return self.d_a * self.d_b
+        return self.entries.shape[0]
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
-
-
-@dataclass(frozen=True)
-class GenericMomentMatrix:
-    """Hermitian matrix of moments over a generic (non-tensor) class."""
-
-    entries: np.ndarray
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError("moment matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > _HERMITICITY_TOL:
-            raise ValueError("moment matrix is not Hermitian within 1e-10")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
 
 def flatten_index(k: int, l: int, d_a: int, d_b: int | None = None) -> int:
@@ -251,60 +241,136 @@ def _padded_state_arrays(state: State, working: ModeCutoffs):
     return None, pad_matrix(state.matrix, state.cutoffs, working)
 
 
-def op_expectation(state: State, specs: tuple[Monomial, ...]) -> complex:
-    """Expectation of the operator product specs[0] @ specs[1] @ ... on the state.
+class TableSource:
+    """Moment source backed by an explicit table {Monomial: value}.
 
-    The product is evaluated as dense matrices on the padded working space,
-    with per-mode padding summed over all factors, so no truncation leakage
-    can occur for states supported below their cutoff.
+    Conjugate consistency is validated: whenever a spec and its adjoint both
+    appear, their values must be complex conjugates within 1e-10.  ``dims``
+    optionally records the per-mode dimensions of the measured state, which
+    reconstruction needs and never infers.
     """
-    if not specs:
-        return 1.0 + 0.0j
-    if any(spec.num_modes != state.num_modes for spec in specs):
-        raise DimensionError("monomial and state disagree on the number of modes")
-    pads = tuple(
-        sum(spec.powers[q][0] + spec.powers[q][1] for spec in specs)
-        for q in range(state.num_modes)
-    )
-    working = state.cutoffs.padded(pads)
-    vec, mat = _padded_state_arrays(state, working)
-    op = monomial_matrix(specs[0], working)
-    for spec in specs[1:]:
-        op = op @ monomial_matrix(spec, working)
+
+    def __init__(
+        self, table: dict[Monomial, complex], num_modes: int, label: str = "table", dims=None
+    ):
+        self.table = {spec: complex(v) for spec, v in table.items()}
+        self.num_modes = int(num_modes)
+        self.label = label
+        self.dims = None if dims is None else tuple(int(d) for d in dims)
+        for spec, value in self.table.items():
+            partner = self.table.get(spec.dagger())
+            if partner is not None and abs(partner - value.conjugate()) > 1e-10:
+                raise InconsistentMomentsError(
+                    f"table values for {spec.to_string()} and its adjoint are not conjugate"
+                )
+
+    def moment(self, spec: Monomial) -> complex:
+        if spec in self.table:
+            return self.table[spec]
+        self.require((spec,))
+        return self.table[spec.dagger()].conjugate()
+
+    def require(self, specs) -> None:
+        """Raise one MissingMomentError naming every spec the table cannot answer."""
+        missing = {
+            spec.to_string()
+            for spec in specs
+            if spec not in self.table and spec.dagger() not in self.table
+        }
+        if missing:
+            raise MissingMomentError(sorted(missing))
+
+
+def moment(source: State | TableSource, spec: Monomial) -> complex:
+    """Single moment <spec>: a table lookup, or Tr(rho * monomial) on the padded space."""
+    if spec.num_modes != source.num_modes:
+        raise DimensionError("monomial and source disagree on the number of modes")
+    if isinstance(source, TableSource):
+        return source.moment(spec)
+    working = _working_cutoffs(source, (spec,))
+    vec, mat = _padded_state_arrays(source, working)
+    op = monomial_matrix(spec, working)
     if vec is not None:
         return complex(np.vdot(vec, op @ vec))
-    return complex(np.trace(op @ mat))
+    # Tr(op rho) without forming the product
+    return complex(np.sum(op.T * mat))
 
 
-def moment(state: State, spec: Monomial) -> complex:
-    """Single moment <spec> = Tr(rho * monomial) under the leakage policy."""
-    return op_expectation(state, (spec,))
+def normal_order(factors: tuple[Monomial, ...]) -> list[tuple[int, Monomial]]:
+    """Expand the product factors[0] factors[1] ... into normally ordered terms.
+
+    Modes commute, so each mode is ordered on its own with
+    a^m (a^dag)^n = sum_k C(m,k) C(n,k) k! (a^dag)^(n-k) a^(m-k); terms are
+    products of the per-mode expansions, with exact integer coefficients.
+    """
+    per_mode = []
+    for q in range(factors[0].num_modes):
+        terms = {(0, 0): 1}
+        for factor in factors:
+            p, r = factor.powers[q]
+            grown: dict[tuple[int, int], int] = {}
+            for (n, m), c in terms.items():
+                for k in range(min(m, p) + 1):
+                    key = (n + p - k, m - k + r)
+                    weight = math.comb(m, k) * math.comb(p, k) * math.factorial(k)
+                    grown[key] = grown.get(key, 0) + c * weight
+            terms = grown
+        per_mode.append(terms.items())
+    return [
+        (math.prod(c for _, c in combo), Monomial(tuple(powers for powers, _ in combo)))
+        for combo in itertools.product(*per_mode)
+    ]
 
 
-def _gram_moments(state: State, ops: tuple[Monomial, ...]) -> np.ndarray:
-    """Matrix of <ops_i^dag ops_j> via dense operators on the padded space."""
-    working = _working_cutoffs(state, ops)
-    vec, mat = _padded_state_arrays(state, working)
-    matrices = [monomial_matrix(op, working) for op in ops]
-    n = len(ops)
+def op_expectation(source: State | TableSource, factors: tuple[Monomial, ...]) -> complex:
+    """Expectation of the operator product factors[0] factors[1] ... on the source.
+
+    The product is normally ordered and each term is one moment, so states
+    and tables answer alike; a table names all the terms it lacks at once.
+    """
+    if not factors:
+        return 1.0 + 0.0j
+    if any(f.num_modes != source.num_modes for f in factors):
+        raise DimensionError("monomial and source disagree on the number of modes")
+    terms = normal_order(factors)
+    if isinstance(source, TableSource):
+        source.require(spec for _, spec in terms)
+    return complex(sum(c * moment(source, spec) for c, spec in terms))
+
+
+def _hermitian_from(n: int, entry) -> np.ndarray:
+    """Hermitian matrix from entry(i, j), i <= j; all missing table moments are named at once."""
     out = np.empty((n, n), dtype=complex)
-    if vec is not None:
-        phis = [m @ vec for m in matrices]
-        for i in range(n):
-            for j in range(i, n):
-                value = complex(np.vdot(phis[i], phis[j]))
-                out[i, j] = value
-                out[j, i] = value.conjugate()
-    else:
-        right = [m @ mat for m in matrices]
-        for i in range(n):
-            for j in range(n):
-                # Tr(F_i^dag F_j rho) = sum conj(F_i) * (F_j rho), entrywise
-                out[i, j] = complex(np.vdot(matrices[i], right[j]))
+    missing: list[str] = []
+    for i in range(n):
+        for j in range(i, n):
+            try:
+                out[i, j] = entry(i, j)
+            except MissingMomentError as err:
+                missing += err.missing
+            out[j, i] = np.conj(out[i, j])
+    if missing:
+        raise MissingMomentError(sorted(set(missing)))
     return out
 
 
-def build_moment_matrix(state: State, cls: OperatorClass) -> MomentMatrix:
+def _gram_moments(source: State | TableSource, ops: tuple[Monomial, ...]) -> np.ndarray:
+    """Matrix of <ops_i^dag ops_j>; dense operators on the padded space for states."""
+    n = len(ops)
+    if isinstance(source, TableSource):
+        return _hermitian_from(n, lambda i, j: op_expectation(source, (ops[i].dagger(), ops[j])))
+    working = _working_cutoffs(source, ops)
+    vec, mat = _padded_state_arrays(source, working)
+    matrices = [monomial_matrix(op, working) for op in ops]
+    if vec is not None:
+        phis = [m @ vec for m in matrices]
+        return _hermitian_from(n, lambda i, j: np.vdot(phis[i], phis[j]))
+    right = [m @ mat for m in matrices]
+    # Tr(F_i^dag F_j rho) = sum conj(F_i) * (F_j rho), entrywise
+    return _hermitian_from(n, lambda i, j: np.vdot(matrices[i], right[j]))
+
+
+def build_moment_matrix(state: State | TableSource, cls: OperatorClass) -> MomentMatrix:
     """Moment matrix over the flattened tensor-product class."""
     if cls.num_modes != state.num_modes:
         raise DimensionError("operator class and state disagree on the number of modes")
@@ -317,7 +383,7 @@ def build_moment_matrix(state: State, cls: OperatorClass) -> MomentMatrix:
     )
 
 
-def build_pt_moment_matrix(state: State, cls: OperatorClass) -> MomentMatrix:
+def build_pt_moment_matrix(state: State | TableSource, cls: OperatorClass) -> MomentMatrix:
     """Moment matrix of the partially transposed state, by index swap.
 
     Entries obey out[(k,l),(k',l')] = M[(k,l'),(k',l)], the exchange of the
@@ -338,8 +404,8 @@ def build_pt_moment_matrix(state: State, cls: OperatorClass) -> MomentMatrix:
 
 
 def build_generic_moment_matrix(
-    state: State, cls: GenericClass, conjugate_b_modes: bool = False
-) -> GenericMomentMatrix:
+    state: State | TableSource, cls: GenericClass, conjugate_b_modes: bool = False
+) -> MomentMatrix:
     """Moment matrix over a generic class, optionally on the PT state.
 
     With ``conjugate_b_modes=True`` the entries are moments of the partially
@@ -358,23 +424,20 @@ def build_generic_moment_matrix(
         "pt_state": bool(conjugate_b_modes),
     }
     if not conjugate_b_modes:
-        return GenericMomentMatrix(_gram_moments(state, cls.ops), provenance=prov)
-    n = cls.size
+        return MomentMatrix(_gram_moments(state, cls.ops), provenance=prov)
     a_parts = [op.restricted_to(cls.modes_a) for op in cls.ops]
     b_parts = [op.restricted_to(cls.modes_b) for op in cls.ops]
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            row_op = a_parts[i].merged_with(b_parts[j])
-            col_op = a_parts[j].merged_with(b_parts[i])
-            value = op_expectation(state, (row_op.dagger(), col_op))
-            out[i, j] = value
-            out[j, i] = value.conjugate()
-    return GenericMomentMatrix(out, provenance=prov)
+
+    def entry(i, j):
+        row_op = a_parts[i].merged_with(b_parts[j])
+        col_op = a_parts[j].merged_with(b_parts[i])
+        return op_expectation(state, (row_op.dagger(), col_op))
+
+    return MomentMatrix(_hermitian_from(cls.size, entry), provenance=prov)
 
 
 def principal_submatrix(
-    matrix: np.ndarray | MomentMatrix | GenericMomentMatrix,
+    matrix: np.ndarray | MomentMatrix,
     r: tuple[int, ...],
 ) -> np.ndarray:
     """Principal submatrix keeping the 1-based rows/columns listed in r."""

@@ -19,14 +19,9 @@ import math
 import numpy as np
 
 from .criteria import Outcome, Verdict, resolve_tol
-from .errors import (
-    DimensionError,
-    InconsistentMomentsError,
-    MissingMomentError,
-    SeriesDivergenceError,
-)
+from .errors import DimensionError, InconsistentMomentsError, SeriesDivergenceError
 from .fock import DensityMatrix, ModeCutoffs, Monomial, State
-from .moments import moment as state_moment
+from .moments import TableSource, moment
 from .reorder import realign_blocks, trace_norm, transpose_factor
 
 _NON_DECAY_RUN = 5
@@ -35,77 +30,17 @@ _NON_DECAY_RUN = 5
 _NON_DECAY_MARGIN = 1e-6
 
 
-class StateSource:
-    """Moment source backed by a state; moments are computed on demand."""
-
-    def __init__(self, state: State):
-        self.state = state
-        self.num_modes = state.num_modes
-        self.label = getattr(state, "label", "state")
-
-    def moment(self, spec: Monomial) -> complex:
-        return state_moment(self.state, spec)
-
-
-class TableSource:
-    """Moment source backed by an explicit table {Monomial: value}.
-
-    Conjugate consistency is validated: whenever a spec and its adjoint both
-    appear, their values must be complex conjugates within 1e-10.
-    """
-
-    def __init__(self, table: dict[Monomial, complex], num_modes: int, label: str = "table"):
-        self.table = {spec: complex(v) for spec, v in table.items()}
-        self.num_modes = int(num_modes)
-        self.label = label
-        for spec, value in self.table.items():
-            partner = self.table.get(spec.dagger())
-            if partner is not None and abs(partner - value.conjugate()) > 1e-10:
-                raise InconsistentMomentsError(
-                    f"table values for {spec.to_string()} and its adjoint are not conjugate"
-                )
-
-    def moment(self, spec: Monomial) -> complex:
-        if spec in self.table:
-            return self.table[spec]
-        partner = self.table.get(spec.dagger())
-        if partner is not None:
-            return partner.conjugate()
-        raise MissingMomentError([spec.to_string()])
-
-
-MomentSource = StateSource | TableSource
-
-
-def as_source(source: State | MomentSource) -> MomentSource:
-    if isinstance(source, (StateSource, TableSource)):
-        return source
-    return StateSource(source)
-
-
-def _gather_missing(source: MomentSource, specs: list[Monomial]) -> None:
-    missing = []
-    for spec in specs:
-        try:
-            source.moment(spec)
-        except MissingMomentError as err:
-            missing.extend(err.missing)
-    if missing:
-        raise MissingMomentError(sorted(set(missing)))
-
-
 def density_element(
-    source: State | MomentSource,
+    source: State | TableSource,
     m1: tuple[int, ...] | int,
     m2: tuple[int, ...] | int,
     dims: tuple[int, ...] | int,
 ) -> complex:
     """Matrix element <m1| rho |m2> from moments, truncated at the given dims."""
-    src = as_source(source)
     m1 = (m1,) if isinstance(m1, int) else tuple(int(x) for x in m1)
     m2 = (m2,) if isinstance(m2, int) else tuple(int(x) for x in m2)
     dims = (dims,) if isinstance(dims, int) else tuple(int(d) for d in dims)
-    modes = src.num_modes
+    modes = source.num_modes
     if len(m1) != modes or len(m2) != modes or len(dims) != modes:
         raise DimensionError("occupations and dims must match the number of modes")
     if any(x < 0 for x in m1 + m2) or any(d < 1 for d in dims):
@@ -125,8 +60,8 @@ def density_element(
             (x2 + j, x1 + j) for x1, x2, j in zip(m1, m2, js)
         )
         specs_needed.append(Monomial(powers))
-    if isinstance(src, TableSource):
-        _gather_missing(src, specs_needed)
+    if isinstance(source, TableSource):
+        source.require(specs_needed)
 
     total = 0.0 + 0.0j
     # Guard against non-decaying series along each mode's index line.
@@ -135,7 +70,7 @@ def density_element(
         coeff = prefactor
         for j in js:
             coeff *= (-1) ** j / math.factorial(j)
-        term = coeff * src.moment(spec)
+        term = coeff * moment(source, spec)
         total += term
         for axis in range(modes):
             key = (axis,) + tuple(j for q, j in enumerate(js) if q != axis)
@@ -157,13 +92,12 @@ def density_element(
 
 
 def reconstruct_density(
-    source: State | MomentSource,
+    source: State | TableSource,
     dims: tuple[int, ...],
     validate_tol: float = 1e-8,
     label: str | None = None,
 ) -> DensityMatrix:
     """Full density matrix via the general series, element by element."""
-    src = as_source(source)
     dims = tuple(int(d) for d in dims)
     cutoffs = ModeCutoffs(dims)
     d = cutoffs.total_dimension
@@ -173,10 +107,10 @@ def reconstruct_density(
         for j, occ_j in enumerate(occupations):
             if j < i:
                 continue
-            value = density_element(src, occ_i, occ_j, dims)
+            value = density_element(source, occ_i, occ_j, dims)
             rho[i, j] = value
             rho[j, i] = value.conjugate()
-    return _validated_density(rho, cutoffs, validate_tol, label or src.label)
+    return _validated_density(rho, cutoffs, validate_tol, label or source.label)
 
 
 # Entry table for the two-qubit closed form: per-mode factors keyed by the
@@ -191,7 +125,7 @@ _QUBIT_FACTORS = {
 
 
 def two_qubit_density(
-    source: State | MomentSource,
+    source: State | TableSource,
     validate_tol: float = 1e-8,
     label: str | None = None,
 ) -> DensityMatrix:
@@ -201,8 +135,7 @@ def two_qubit_density(
     factors, expanded into plain normally ordered moments before querying
     the source.
     """
-    src = as_source(source)
-    if src.num_modes != 2:
+    if source.num_modes != 2:
         raise DimensionError("two-qubit reconstruction needs exactly two modes")
     specs_needed = [
         Monomial(((p, q), (r, s)))
@@ -211,8 +144,8 @@ def two_qubit_density(
         for r in (0, 1)
         for s in (0, 1)
     ]
-    if isinstance(src, TableSource):
-        _gather_missing(src, specs_needed)
+    if isinstance(source, TableSource):
+        source.require(specs_needed)
     rho = np.zeros((4, 4), dtype=complex)
     basis = [(0, 0), (0, 1), (1, 0), (1, 1)]
     for i, (m1, n1) in enumerate(basis):
@@ -220,10 +153,10 @@ def two_qubit_density(
             total = 0.0 + 0.0j
             for ca, pa in _QUBIT_FACTORS[(m1, m2)]:
                 for cb, pb in _QUBIT_FACTORS[(n1, n2)]:
-                    total += ca * cb * src.moment(Monomial((pa, pb)))
+                    total += ca * cb * moment(source, Monomial((pa, pb)))
             rho[i, j] = total
     cutoffs = ModeCutoffs((2, 2))
-    return _validated_density(rho, cutoffs, validate_tol, label or src.label)
+    return _validated_density(rho, cutoffs, validate_tol, label or source.label)
 
 
 def _validated_density(

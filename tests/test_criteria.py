@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
+import pytest
 
 from momentcrit.criteria import (
+    MINOR_SCAN_BUDGET,
     Outcome,
     breuer_bell_test,
     breuer_inequality_test,
@@ -17,6 +21,7 @@ from momentcrit.criteria import (
     sv_cat_state_test,
     sylvester_scan,
 )
+from momentcrit.errors import DimensionError
 from momentcrit.fock import make_fock_state, superpose
 from momentcrit.moments import (
     GenericClass,
@@ -321,3 +326,21 @@ def test_separable_battery_never_entangled():
             assert v.outcome is not Outcome.ENTANGLED, (
                 f"{v.criterion} flagged separable state {state.label}: {v.witness}"
             )
+
+
+def test_mode_preconditions_fail_fast():
+    singlet = states.singlet()
+    with pytest.raises(DimensionError, match="2-mode state"):
+        hz_three_mode(singlet)
+    with pytest.raises(DimensionError, match="2-mode state"):
+        hz_two_mode(singlet, modes=(0, 2))
+    with pytest.raises(DimensionError, match="2-mode state"):
+        breuer_inequality_test(singlet, modes=(1, 1))
+
+
+def test_sylvester_scan_budget():
+    with pytest.raises(ValueError, match="budget"):
+        sylvester_scan(np.eye(36), max_minor_size=20)
+    assert sylvester_scan(np.eye(16), max_minor_size=4).outcome is Outcome.INCONCLUSIVE
+    # 36 rows at size 4 (66 711 minors) stay inside the budget
+    assert sum(math.comb(36, k) for k in range(1, 5)) <= MINOR_SCAN_BUDGET

@@ -1,0 +1,147 @@
+"""States and moment tables read through the one moments layer."""
+
+import itertools
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from momentcrit.cli import RunConfig, _state_from_config
+from momentcrit.criteria import (
+    breuer_bell_test,
+    breuer_inequality_test,
+    generic_pt_det_test,
+    hz_two_mode,
+    map_test,
+    pt_min_eig_test,
+    pt_norm_test,
+    pt_sylvester_test,
+    realign_norm_test,
+    sv_cat_state_test,
+)
+from momentcrit.errors import MissingMomentError
+from momentcrit.fock import ModeCutoffs, Monomial, monomial_matrix
+from momentcrit.moments import (
+    GenericClass,
+    OperatorClass,
+    TableSource,
+    moment,
+    normal_order,
+    op_expectation,
+)
+from momentcrit.posmaps import stormer_map
+from momentcrit.sampling import random_density
+from momentcrit import states
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+STD = OperatorClass.from_strings(["1", "a"], ["1", "b"])
+TRIPLE = OperatorClass.from_strings(["1", "a", "a"], ["1", "b", "b"])
+C16 = OperatorClass.from_strings(["1", "a", "Aa", "aa"], ["1", "b", "Bb", "bb"])
+
+CRITERIA = {
+    "pt_min_eig": lambda s: pt_min_eig_test(s, C16),
+    "pt_norm": lambda s: pt_norm_test(s, STD),
+    "realign_norm": lambda s: realign_norm_test(s, STD),
+    "pt_sylvester": lambda s: pt_sylvester_test(s, STD),
+    "generic_pt_det": lambda s: generic_pt_det_test(
+        s, GenericClass.from_strings(["1", "a", "b", "ab", "Aa"])
+    ),
+    "sv_cat": sv_cat_state_test,
+    "stormer_map": lambda s: map_test(s, TRIPLE, stormer_map(), side="A", r=(2, 3, 7)),
+    "hz_two_mode": hz_two_mode,
+    "breuer_inequality": breuer_inequality_test,
+    "breuer_bell": breuer_bell_test,
+}
+
+
+def _complete_table(state, max_power: int = 6) -> TableSource:
+    """Every two-mode moment with powers below max_power, computed from the state."""
+    powers = list(itertools.product(range(max_power), repeat=2))
+    table = {
+        Monomial((pa, pb)): moment(state, Monomial((pa, pb)))
+        for pa in powers
+        for pb in powers
+    }
+    return TableSource(table, 2, label="table")
+
+
+_factor = st.integers(1, 2).flatmap(
+    lambda modes: st.lists(
+        st.tuples(*[st.tuples(st.integers(0, 3), st.integers(0, 3))] * modes),
+        min_size=1,
+        max_size=3,
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factor)
+def test_normal_order_matches_dense_product(factor_powers):
+    factors = tuple(Monomial(p) for p in factor_powers)
+    num_modes = factors[0].num_modes
+    base = ModeCutoffs((2,) * num_modes)
+    pads = tuple(
+        sum(f.powers[q][0] + f.powers[q][1] for f in factors) for q in range(num_modes)
+    )
+    working = base.padded(pads)
+    product = np.eye(working.total_dimension, dtype=complex)
+    for f in factors:
+        product = product @ monomial_matrix(f, working)
+    expanded = sum(c * monomial_matrix(t, working) for c, t in normal_order(factors))
+    # Columns of the unpadded levels, where truncation cannot reach.
+    low = [int(np.ravel_multi_index(occ, working.cutoffs)) for occ in np.ndindex(*base.cutoffs)]
+    scale = max(1.0, float(np.max(np.abs(product))))
+    np.testing.assert_allclose(expanded[:, low], product[:, low], rtol=0, atol=1e-10 * scale)
+
+
+def test_normal_order_number_operator_square():
+    num = Monomial.from_string("Aa", 1)
+    terms = {t.to_string(): c for c, t in normal_order((num, num))}
+    assert terms == {"AAaa": 1, "Aa": 1}
+
+
+def _witness_gap(a: dict, b: dict) -> float:
+    gap = 0.0
+    for key, value in a.items():
+        if isinstance(value, (float, np.ndarray)):
+            gap = max(gap, float(np.max(np.abs(np.asarray(value) - np.asarray(b[key])))))
+    return gap
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_complete_table_matches_density_on_every_criterion(dims):
+    rng = np.random.default_rng(sum(dims))
+    state = random_density(rng, dims)
+    table = _complete_table(state)
+    for name, criterion in CRITERIA.items():
+        from_state, from_table = criterion(state), criterion(table)
+        assert from_table.outcome is from_state.outcome, name
+        assert _witness_gap(from_state.witness, from_table.witness) <= 1e-10, name
+
+
+def test_op_expectation_on_table_matches_state():
+    singlet = states.singlet()
+    table = _complete_table(singlet, max_power=4)
+    num_a = Monomial.from_string("Aa", 2)
+    factors = (num_a, Monomial.from_string("b", 2), num_a.dagger(), Monomial.from_string("B", 2))
+    assert abs(op_expectation(table, factors) - op_expectation(singlet, factors)) < 1e-12
+
+
+def test_missing_monomial_is_named():
+    raw = json.loads((CONFIGS / "moment_table_ppt.json").read_text())
+    table = _state_from_config(RunConfig.from_dict(raw))
+    assert table.dims == (2, 2)
+    with pytest.raises(MissingMomentError) as err:
+        breuer_inequality_test(table)
+    assert err.value.missing == ["AABaab"]
+
+
+def test_missing_monomials_of_a_matrix_are_listed_together():
+    table = TableSource({Monomial.from_string("1", 2): 1.0}, 2)
+    with pytest.raises(MissingMomentError) as err:
+        pt_min_eig_test(table, STD)
+    assert set(err.value.missing) == {"a", "b", "ab", "Aa", "Ab", "Aab", "Bb", "Bab", "ABab"}

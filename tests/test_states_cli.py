@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from momentcrit.cli import (
     EXIT_CONFIG,
     EXIT_ENTANGLED,
+    EXIT_ERRORS,
     EXIT_OK,
     RunConfig,
     main,
@@ -135,6 +137,38 @@ def test_cli_analyze_exit_codes(tmp_path, capsys):
     cfg["state"] = {"library": "product_coherent", "params": {"alpha": 0.2, "beta": 0.1}}
     path.write_text(json.dumps(cfg))
     assert main(["analyze", str(path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [
+        {"name": "hz_three_mode"},  # three-mode inequality on a two-mode state
+        {"name": "map", "map": {"kind": "stormer"}},  # 3-dim map on the 4-row class
+    ],
+)
+def test_cli_error_records_exit_4(tmp_path, capsys, criterion):
+    path = tmp_path / "c.json"
+    cfg = {"state": {"library": "singlet"}, "criteria": [criterion], "format": "structured"}
+    path.write_text(json.dumps(cfg))
+    assert main(["analyze", str(path)]) == EXIT_ERRORS
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error_count"] == 1 and payload["entangled_count"] == 0
+    # an ENTANGLED verdict keeps precedence over errors
+    cfg["criteria"].append({"name": "pt_norm"})
+    path.write_text(json.dumps(cfg))
+    assert main(["analyze", str(path)]) == EXIT_ENTANGLED
+
+
+def test_cli_moment_table_runs_every_criterion(tmp_path, capsys):
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs/moment_table_ppt.json").read_text())
+    cfg["criteria"] += [{"name": "pt_min_eig"}, {"name": "hz_two_mode"}, {"name": "sv_cat"}]
+    cfg["format"] = "structured"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["analyze", str(path)]) == EXIT_ENTANGLED
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error_count"] == 0
+    assert [v["outcome"] for v in payload["verdicts"]] == ["ENTANGLED"] * 6
 
 
 def test_cli_config_error_diagnostics(tmp_path, capsys):
