@@ -1,35 +1,26 @@
 #!/usr/bin/env python3
-"""Soundness scan: run every criterion over random separable states.
+"""Soundness scan: run the criteria of configs/separable_battery.json over random separable states.
 
 Each state is checked twice: as a state, and as its complete moment table
-(every two-mode monomial with powers <= 3, enough for all criteria here), so
+(every two-mode monomial with powers <= 3, enough for all criteria there), so
 the scan covers the table path too.  A correct build prints zero ENTANGLED
-verdicts.  Useful when touching tolerances, padding policy or the map catalog.
+verdicts and zero ERROR records.  Useful when touching tolerances, padding
+policy or the map catalog.
 
 Usage: python scripts/run_separable_battery.py [--states N] [--seed S]
 """
 
 import argparse
 import itertools
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 
-from momentcrit.criteria import (
-    Outcome,
-    breuer_bell_test,
-    breuer_inequality_test,
-    hz_two_mode,
-    map_test,
-    pt_min_eig_test,
-    pt_norm_test,
-    pt_sylvester_test,
-    realign_norm_test,
-    sv_cat_state_test,
-)
+from momentcrit.cli import RunConfig, analyze_state
 from momentcrit.fock import Monomial
-from momentcrit.moments import OperatorClass, TableSource, moment
-from momentcrit.posmaps import BreuerParams, breuer_antidiagonal_unitary, breuer_map, stormer_map
+from momentcrit.moments import TableSource, moment
 from momentcrit.sampling import (
     random_coherent_product,
     random_coherent_separable_mixture,
@@ -37,23 +28,7 @@ from momentcrit.sampling import (
     random_separable_mixture,
 )
 
-STD = OperatorClass.from_strings(["1", "a"], ["1", "b"])
-TRIPLE = OperatorClass.from_strings(["1", "a", "a"], ["1", "b", "b"])
-F2 = OperatorClass.from_strings(["1", "a", "Aa", "1"], ["1", "b", "Bb", "1"])
-BREUER4 = breuer_map(BreuerParams(4, breuer_antidiagonal_unitary(4)))
-
-CRITERIA = {
-    "pt_norm": lambda s: pt_norm_test(s, STD),
-    "realign_norm": lambda s: realign_norm_test(s, STD),
-    "pt_min_eig": lambda s: pt_min_eig_test(s, STD),
-    "pt_sylvester": lambda s: pt_sylvester_test(s, STD, max_minor_size=3),
-    "hz_two_mode": hz_two_mode,
-    "breuer_inequality": breuer_inequality_test,
-    "sv_cat": sv_cat_state_test,
-    "stormer_map": lambda s: map_test(s, TRIPLE, stormer_map(), side="A", r=(2, 3, 7)),
-    "breuer_map": lambda s: map_test(s, F2, BREUER4, side="A", r=(2, 5)),
-    "breuer_bell": breuer_bell_test,
-}
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "separable_battery.json"
 POWERS = list(itertools.product(range(4), repeat=2))
 
 
@@ -80,22 +55,25 @@ def main():
         battery.append(random_coherent_product(rng, 0.5))
     for _ in range(quarter - quarter // 2):
         battery.append(random_coherent_separable_mixture(rng, 2, 0.5))
+    criteria = RunConfig.from_dict(json.loads(CONFIG.read_text())).criteria
 
     start = time.perf_counter()
-    false_flags = 0
+    false_flags = errors = 0
     for i, state in enumerate(battery):
         for source in (state, complete_table(state)):
-            for name, criterion in CRITERIA.items():
-                verdict = criterion(source)
-                if verdict.outcome is Outcome.ENTANGLED:
-                    false_flags += 1
-                    print(f"FALSE FLAG on #{i} ({source.label}) by {name}: {verdict.witness}")
+            report = analyze_state(source, criteria)
+            false_flags += report["entangled_count"]
+            errors += report["error_count"]
+            for rec in report["verdicts"]:
+                if rec["outcome"] in ("ENTANGLED", "ERROR"):
+                    detail = rec.get("error") or rec["witness"]
+                    print(f"{rec['outcome']} on #{i} ({source.label}) by {rec['criterion']}: {detail}")
     elapsed = time.perf_counter() - start
     print(
-        f"{len(battery)} separable states, each as state and as table, x {len(CRITERIA)} "
-        f"criteria in {elapsed:.1f}s: {false_flags} ENTANGLED verdicts"
+        f"{len(battery)} separable states, each as state and as table, x {len(criteria)} "
+        f"criteria in {elapsed:.1f}s: {false_flags} ENTANGLED verdicts, {errors} ERROR records"
     )
-    raise SystemExit(1 if false_flags else 0)
+    raise SystemExit(1 if false_flags or errors else 0)
 
 
 if __name__ == "__main__":

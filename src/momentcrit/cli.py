@@ -4,12 +4,18 @@ Subcommands:
   analyze <config.json>   run the criteria listed in a JSON config
   regress                 run the reference regression suite
   list-states             show the named state library
-  list-criteria           show the available criterion names
+  list-criteria           show the criterion names and the keys each accepts
 
-Config and report are JSON; complex numbers are [re, im] pairs.  Exit codes:
-0 = ran, nothing detected; 3 = ran, at least one ENTANGLED verdict (takes
-precedence); 4 = ran, at least one ERROR record and no ENTANGLED verdict;
-2 = config error; 1 = internal error (analyze) / failures (regress).
+Config and report are JSON; complex numbers are [re, im] pairs.  ``CRITERIA``
+is the one criterion table.  ``RunConfig.from_dict`` checks every entry's keys
+and values against it and prepares each call before any state is built;
+``analyze_state`` runs the prepared calls on a state or moment table.  Checks
+that need the state (modes, map dimension, side) stay with the criterion and
+end as ERROR records.
+
+Exit codes: 0 = ran, nothing detected; 3 = ran, at least one ENTANGLED verdict
+(takes precedence); 4 = ran, at least one ERROR record and no ENTANGLED
+verdict; 2 = config error; 1 = internal error (analyze) / failures (regress).
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections.abc import Callable
+from functools import partial
+from operator import index
 
 import numpy as np
 
@@ -36,7 +45,6 @@ from .criteria import (
     realign_norm_test,
     sv_cat_state_test,
 )
-from .errors import DimensionError
 from .fock import DensityMatrix, ModeCutoffs, Monomial, StateVector
 from .moments import GenericClass, OperatorClass
 from .posmaps import (
@@ -71,6 +79,7 @@ class ConfigError(ValueError):
 class CriterionSpec:
     name: str
     params: dict
+    call: Callable = dataclasses.field(repr=False, compare=False)  # see Criterion.prepare
 
     def to_dict(self) -> dict:
         return {"name": self.name, **self.params}
@@ -91,26 +100,19 @@ class RunConfig:
             raise ConfigError("config root must be a JSON object")
         if "state" not in raw:
             raise ConfigError("config field 'state' is required")
-        crits = []
-        for idx, entry in enumerate(raw.get("criteria", [])):
-            if not isinstance(entry, dict) or "name" not in entry:
-                raise ConfigError(f"criteria[{idx}] must be an object with a 'name' field")
-            name = entry["name"]
-            if name not in CRITERIA:
-                raise ConfigError(
-                    f"criteria[{idx}].name {name!r} is unknown; "
-                    f"available: {', '.join(sorted(CRITERIA))}"
-                )
-            crits.append(CriterionSpec(name, {k: v for k, v in entry.items() if k != "name"}))
+        criteria = raw.get("criteria", [])
+        if not isinstance(criteria, list):
+            raise ConfigError("config field 'criteria' must be a list")
         fmt = raw.get("format", "human")
         if fmt not in ("human", "structured"):
             raise ConfigError("config field 'format' must be 'human' or 'structured'")
+        cutoff, tol = raw.get("cutoff"), raw.get("tol")
         return cls(
             state=raw["state"],
-            criteria=crits,
-            cutoff=raw.get("cutoff"),
-            epsilon=float(raw.get("epsilon", 1e-10)),
-            tol=raw.get("tol"),
+            criteria=[_criterion_spec(idx, entry) for idx, entry in enumerate(criteria)],
+            cutoff=None if cutoff is None else _parse("cutoff", index, cutoff),
+            epsilon=_parse("epsilon", float, raw.get("epsilon", 1e-10)),
+            tol=None if tol is None else _parse("tol", float, tol),
             output_format=fmt,
         )
 
@@ -131,12 +133,27 @@ class RunConfig:
 # -- JSON <-> value helpers ----------------------------------------------------
 
 
+def _parse(where: str, convert, value):
+    """convert(value); a value of the wrong shape is a ConfigError that names where."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _complex_from(pair) -> complex:
     if isinstance(pair, (int, float)):
         return complex(pair)
     if isinstance(pair, list) and len(pair) == 2:
         return complex(pair[0], pair[1])
     raise ConfigError(f"expected a number or [re, im] pair, got {pair!r}")
+
+
+def _complex_array(raw, ndim: int) -> np.ndarray:
+    """An ndim-deep nest of lists of numbers or [re, im] pairs as a complex array."""
+    if ndim == 0:
+        return _complex_from(raw)
+    return np.array([_complex_array(x, ndim - 1) for x in raw], dtype=complex)
 
 
 def _jsonify(value):
@@ -177,165 +194,97 @@ def _state_from_config(cfg: RunConfig):
     if not isinstance(spec, dict):
         raise ConfigError("config field 'state' must be an object")
     if "library" in spec:
+        params = spec.get("params") or {}
+        if not isinstance(params, dict):
+            raise ConfigError("state.params must be an object")
         try:
-            return build_state(
-                spec["library"], spec.get("params"), cutoff=cfg.cutoff, epsilon=cfg.epsilon
-            )
+            return build_state(spec["library"], params, cutoff=cfg.cutoff, epsilon=cfg.epsilon)
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
-    if "amplitudes" in spec:
-        if "cutoffs" not in spec:
-            raise ConfigError("state.amplitudes requires state.cutoffs")
-        amps = np.array([_complex_from(x) for x in spec["amplitudes"]])
-        return StateVector(
-            ModeCutoffs(tuple(spec["cutoffs"])), amps, label=spec.get("label", "custom")
-        )
-    if "density" in spec:
-        if "cutoffs" not in spec:
-            raise ConfigError("state.density requires state.cutoffs")
-        mat = np.array([[_complex_from(x) for x in row] for row in spec["density"]])
-        return DensityMatrix(
-            ModeCutoffs(tuple(spec["cutoffs"])), mat, label=spec.get("label", "custom")
-        )
+        except TypeError as exc:  # a parameter the library state does not take
+            raise ConfigError(f"state.params: {exc}") from exc
+    for field, ndim, make in (("amplitudes", 1, StateVector), ("density", 2, DensityMatrix)):
+        if field in spec:
+            if "cutoffs" not in spec:
+                raise ConfigError(f"state.{field} requires state.cutoffs")
+            values = _parse(f"state.{field}", partial(_complex_array, ndim=ndim), spec[field])
+            cutoffs = ModeCutoffs(_parse("state.cutoffs", _ints, spec["cutoffs"]))
+            return make(cutoffs, values, label=spec.get("label", "custom"))
     if "moments" in spec:
-        dims = spec.get("dims")
-        if dims is None:
+        if spec.get("dims") is None:
             raise ConfigError("state.moments requires state.dims")
-        num_modes = len(dims)
-        table = {
-            Monomial.from_string(key, num_modes): _complex_from(value)
-            for key, value in spec["moments"].items()
-        }
-        return TableSource(table, num_modes, label=spec.get("label", "moment-table"), dims=dims)
-    raise ConfigError(
-        "state must specify one of: library, amplitudes, density, moments"
+        dims = _parse("state.dims", _ints, spec["dims"])
+        table = _parse(
+            "state.moments",
+            lambda m: {Monomial.from_string(k, len(dims)): _complex_from(v) for k, v in m.items()},
+            spec["moments"],
+        )
+        return TableSource(table, len(dims), label=spec.get("label", "moment-table"), dims=dims)
+    raise ConfigError("state must specify one of: library, amplitudes, density, moments")
+
+
+# -- criterion table -----------------------------------------------------------
+
+
+def _check_keys(raw, accepted) -> dict:
+    """raw itself, once it is an object whose keys all lie in accepted."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"expected an object, got {raw!r}")
+    if unknown := sorted(set(raw) - set(accepted)):
+        raise ConfigError(f"unknown key(s) {unknown}; accepted: {sorted(accepted)}")
+    return raw
+
+
+def _ints(raw) -> tuple[int, ...]:
+    if not isinstance(raw, (list, tuple)):
+        raise TypeError(f"expected a list of integers, got {raw!r}")
+    return tuple(index(x) for x in raw)  # index() refuses floats and strings
+
+
+def _modes(cls: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return _ints(cls.get("modes_a", [0])), _ints(cls.get("modes_b", [1]))
+
+
+def _tensor_class(raw) -> OperatorClass:
+    cls = _check_keys(raw, {"side_a", "side_b", "modes_a", "modes_b"})
+    return OperatorClass.from_strings(
+        cls.get("side_a", ["1", "a"]), cls.get("side_b", ["1", "b"]), *_modes(cls)
     )
 
 
-# -- criterion registry --------------------------------------------------------
+def _generic_class(raw) -> GenericClass:
+    cls = _check_keys(raw, {"ops", "modes_a", "modes_b"})
+    if "ops" not in cls:
+        raise ConfigError("'ops' (a list of monomial strings) is required")
+    return GenericClass.from_strings(cls["ops"], *_modes(cls))
 
 
-def _tensor_class(params: dict) -> OperatorClass:
-    cls = params.get("class", {})
-    side_a = cls.get("side_a", ["1", "a"])
-    side_b = cls.get("side_b", ["1", "b"])
-    modes_a = tuple(cls.get("modes_a", [0]))
-    modes_b = tuple(cls.get("modes_b", [1]))
-    return OperatorClass.from_strings(side_a, side_b, modes_a, modes_b)
+_MAP_KEYS = {"stormer": (), "choi": ("alpha", "beta", "gamma"),
+             "breuer": ("dim", "phases", "rotation"), "kossakowski": ("n", "rotation")}
 
 
-def _generic_class(params: dict) -> GenericClass:
-    cls = params.get("class", {})
-    ops = cls.get("ops")
-    if ops is None:
-        raise ConfigError("this criterion needs class.ops (a list of monomial strings)")
-    modes_a = tuple(cls.get("modes_a", [0]))
-    modes_b = tuple(cls.get("modes_b", [1]))
-    return GenericClass.from_strings(ops, modes_a, modes_b)
-
-
-def _r(params: dict) -> tuple[int, ...] | None:
-    r = params.get("r")
-    return tuple(int(x) for x in r) if r is not None else None
-
-
-def _map_from(params: dict):
-    raw = params.get("map")
-    if raw is None:
-        raise ConfigError("this criterion needs a 'map' object")
-    kind = raw.get("kind")
+def _map_from(raw):
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if kind not in _MAP_KEYS:
+        raise ConfigError(f"expected an object with 'kind' in {list(_MAP_KEYS)}, got {raw!r}")
+    _check_keys(raw, {"kind", *_MAP_KEYS[kind]})
     if kind == "stormer":
         return stormer_map()
     if kind == "choi":
         return choi_map(ChoiParams(raw.get("alpha", 2.0), raw.get("beta", 0.0), raw.get("gamma", 1.0)))
+    rotation = np.array(raw["rotation"], dtype=float) if "rotation" in raw else None
     if kind == "breuer":
-        dim = int(raw.get("dim", 4))
+        dim = index(raw.get("dim", 4))
         if "phases" in raw:
-            rotation = np.array(raw["rotation"], dtype=float) if "rotation" in raw else None
-            u = breuer_unitary(tuple(raw["phases"]), rotation)
-        else:
-            u = breuer_antidiagonal_unitary(dim)
-        return breuer_map(BreuerParams(dim, u))
-    if kind == "kossakowski":
-        n = int(raw.get("n", 3))
-        dim = n * n - 1
-        rotation = np.array(raw["rotation"], dtype=float) if "rotation" in raw else np.eye(dim)
-        return kossakowski_map(KossakowskiParams(n, rotation))
-    raise ConfigError(f"unknown map kind {raw.get('kind')!r}")
+            return breuer_map(BreuerParams(dim, breuer_unitary(tuple(raw["phases"]), rotation)))
+        return breuer_map(BreuerParams(dim, breuer_antidiagonal_unitary(dim)))
+    n = index(raw.get("n", 3))
+    return kossakowski_map(KossakowskiParams(n, np.eye(n * n - 1) if rotation is None else rotation))
 
 
-def _run_pt_norm(state, params, tol):
-    return [pt_norm_test(state, _tensor_class(params), tol=tol)]
-
-
-def _run_realign_norm(state, params, tol):
-    return [realign_norm_test(state, _tensor_class(params), tol=tol)]
-
-
-def _run_pt_min_eig(state, params, tol):
-    return [pt_min_eig_test(state, _tensor_class(params), tol=tol)]
-
-
-def _run_pt_sylvester(state, params, tol):
-    r = _r(params)
-    r_list = [r] if r else params.get("r_list")
-    return [
-        pt_sylvester_test(
-            state,
-            _tensor_class(params),
-            r_list=r_list,
-            max_minor_size=int(params.get("max_minor_size", 4)),
-            tol=tol,
-        )
-    ]
-
-
-def _run_generic_pt_det(state, params, tol):
-    return [generic_pt_det_test(state, _generic_class(params), r=_r(params), tol=tol)]
-
-
-def _run_map(state, params, tol):
-    return [
-        map_test(
-            state,
-            _tensor_class(params),
-            _map_from(params),
-            side=params.get("side", "A"),
-            r=_r(params),
-            tol=tol,
-        )
-    ]
-
-
-def _run_hz_two_mode(state, params, tol):
-    return [hz_two_mode(state, tuple(params.get("modes", (0, 1))), tol=tol)]
-
-
-def _run_hz_three_mode(state, params, tol):
-    return [
-        hz_three_mode(
-            state,
-            variant=int(params.get("variant", 1)),
-            modes=tuple(params.get("modes", (0, 1, 2))),
-            tol=tol,
-        )
-    ]
-
-
-def _run_breuer_inequality(state, params, tol):
-    return [breuer_inequality_test(state, tuple(params.get("modes", (0, 1))), tol=tol)]
-
-
-def _run_breuer_bell(state, params, tol):
-    return [breuer_bell_test(state, tol=tol)]
-
-
-def _run_sv_cat(state, params, tol):
-    return [sv_cat_state_test(state, tol=tol)]
-
-
-def _run_state_ppt(state, params, tol):
-    dims = params.get("dims", getattr(state, "dims", None))
+def _state_ppt(state, dims=None, tol=None):
+    """State-level tests on the density matrix; a moment table is reconstructed first."""
+    dims = dims if dims is not None else getattr(state, "dims", None)
     if dims is None:
         raise ConfigError("state_ppt needs 'dims' = [d_a, d_b]")
     dims = tuple(dims)
@@ -348,47 +297,92 @@ def _run_state_ppt(state, params, tol):
     return state_level_tests(rho, dims, tol=tol)
 
 
+@dataclasses.dataclass(frozen=True)
+class Criterion:
+    """One row of the criterion table.  ``prepare`` binds the converted params into a
+    call ``(state, tol=...)`` returning a Verdict or a list of them.  It runs when a
+    config is read, so the functions it binds are looked up in this module then."""
+
+    description: str
+    keys: dict  # accepted config key -> converter of its JSON value
+    prepare: Callable[[dict], Callable]
+
+
+_STD = _tensor_class({})  # rows (1, a, b, ab)
+_CLASS = {"class": _tensor_class}
+_MODES = {"modes": _ints}
+
 CRITERIA = {
-    "pt_norm": (_run_pt_norm, "normalized PT trace norm > 1 (tensor class)"),
-    "realign_norm": (_run_realign_norm, "normalized realignment trace norm > 1 (tensor class)"),
-    "pt_min_eig": (_run_pt_min_eig, "negative eigenvalue of the PT moment matrix"),
-    "pt_sylvester": (_run_pt_sylvester, "negative principal minor of the PT moment matrix"),
-    "generic_pt_det": (_run_generic_pt_det, "determinant over a generic class on the PT state"),
-    "map": (_run_map, "positive map applied to one side of the moment matrix"),
-    "hz_two_mode": (_run_hz_two_mode, "two-mode number-correlation inequality"),
-    "hz_three_mode": (_run_hz_three_mode, "three-mode number-correlation inequality (variant 1|2)"),
-    "breuer_inequality": (_run_breuer_inequality, "two-mode time-reversal inequality"),
-    "breuer_bell": (_run_breuer_bell, "time-reversal witness on rows (1,6,9)"),
-    "sv_cat": (_run_sv_cat, "3x3 PT determinant over (1, b, ab)"),
-    "state_ppt": (_run_state_ppt, "state-level PT/realignment tests (reconstruction aware)"),
+    "pt_norm": Criterion("normalized PT trace norm > 1 (tensor class)", _CLASS,
+                         lambda p: partial(pt_norm_test, cls=p.get("class", _STD))),
+    "realign_norm": Criterion("normalized realignment trace norm > 1 (tensor class)", _CLASS,
+                              lambda p: partial(realign_norm_test, cls=p.get("class", _STD))),
+    "pt_min_eig": Criterion("negative eigenvalue of the PT moment matrix", _CLASS,
+                            lambda p: partial(pt_min_eig_test, cls=p.get("class", _STD))),
+    "pt_sylvester": Criterion(
+        "negative principal minor of the PT moment matrix",
+        {**_CLASS, "r": _ints, "r_list": lambda rs: [_ints(r) for r in rs], "max_minor_size": index},
+        lambda p: partial(pt_sylvester_test, cls=p.get("class", _STD),
+                          r_list=[p["r"]] if p.get("r") else p.get("r_list"),
+                          max_minor_size=p.get("max_minor_size", 4))),
+    "generic_pt_det": Criterion("determinant over a generic class on the PT state",
+                                {"class": _generic_class, "r": _ints},
+                                lambda p: partial(generic_pt_det_test, cls=p["class"], r=p.get("r"))),
+    "map": Criterion("positive map applied to one side of the moment matrix",
+                     {**_CLASS, "map": _map_from, "side": str, "r": _ints},
+                     lambda p: partial(map_test, cls=p.get("class", _STD), pmap=p["map"],
+                                       side=p.get("side", "A"), r=p.get("r"))),
+    "hz_two_mode": Criterion("two-mode number-correlation inequality", _MODES,
+                             lambda p: partial(hz_two_mode, **p)),
+    "hz_three_mode": Criterion("three-mode number-correlation inequality (variant 1|2)",
+                               {"variant": index, **_MODES}, lambda p: partial(hz_three_mode, **p)),
+    "breuer_inequality": Criterion("two-mode time-reversal inequality", _MODES,
+                                   lambda p: partial(breuer_inequality_test, **p)),
+    "breuer_bell": Criterion("time-reversal witness on rows (1,6,9)", {},
+                             lambda p: partial(breuer_bell_test)),
+    "sv_cat": Criterion("3x3 PT determinant over (1, b, ab)", {},
+                        lambda p: partial(sv_cat_state_test)),
+    "state_ppt": Criterion("state-level PT/realignment tests (reconstruction aware)",
+                           {"dims": _ints}, lambda p: partial(_state_ppt, **p)),
 }
+
+
+def _criterion_spec(idx: int, entry) -> CriterionSpec:
+    """Check one criteria entry against the table and prepare its call."""
+    name = entry.get("name") if isinstance(entry, dict) else None
+    if not isinstance(name, str) or name not in CRITERIA:
+        raise ConfigError(f"criteria[{idx}] must be an object with a 'name' field, one of "
+                          f"{', '.join(sorted(CRITERIA))}; got name {name!r}")
+    criterion = CRITERIA[name]
+    where = f"criteria[{idx}] ({name})"
+    params = {k: v for k, v in entry.items() if k != "name"}
+    _parse(where, lambda p: _check_keys(p, criterion.keys), params)
+    parsed = {k: _parse(f"{where} key {k!r}", criterion.keys[k], v) for k, v in params.items()}
+    try:
+        call = criterion.prepare(parsed)
+    except KeyError as exc:
+        raise ConfigError(f"{where}: key {exc} is required") from exc
+    return CriterionSpec(name, params, call)
 
 
 # -- run + report ----------------------------------------------------------------
 
 
-def run(config: RunConfig) -> dict:
-    """Execute the configured criteria; per-criterion failures do not abort."""
-    state = _state_from_config(config)
+def analyze_state(state, criteria: list[CriterionSpec], tol: float | None = None) -> dict:
+    """Run prepared criteria on a state or moment table; failures become ERROR records."""
     label = getattr(state, "label", "state")
     records = []
     entangled = errors = 0
-    for spec in config.criteria:
-        runner, _ = CRITERIA[spec.name]
+    for spec in criteria:
         try:
-            verdicts = runner(state, spec.params, config.tol)
-            for v in verdicts:
+            result = spec.call(state, tol=tol)
+            for v in result if isinstance(result, list) else [result]:
                 records.append(verdict_to_dict(v))
                 entangled += int(v.outcome is Outcome.ENTANGLED)
         except Exception as exc:
             errors += 1
-            records.append(
-                {
-                    "criterion": spec.name,
-                    "outcome": "ERROR",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            records.append({"criterion": spec.name, "outcome": "ERROR", "error": error})
     summary = f"{label}: {entangled} ENTANGLED verdict(s) out of {len(records)} record(s)"
     return {
         "schema": REPORT_SCHEMA,
@@ -398,6 +392,11 @@ def run(config: RunConfig) -> dict:
         "error_count": errors,
         "summary": summary,
     }
+
+
+def run(config: RunConfig) -> dict:
+    """Build the configured state and run the configured criteria on it."""
+    return analyze_state(_state_from_config(config), config.criteria, config.tol)
 
 
 def format_human(report: dict) -> str:
@@ -459,8 +458,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     if args.command == "list-criteria":
-        for name, (_, desc) in sorted(CRITERIA.items()):
-            print(f"{name:<20} {desc}")
+        for name, crit in sorted(CRITERIA.items()):
+            print(f"{name:<20} {crit.description}; keys: {', '.join(sorted(crit.keys)) or 'none'}")
         return EXIT_OK
 
     if args.command == "regress":
@@ -512,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run(config)
-    except (ConfigError, DimensionError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # ConfigError, DimensionError, MissingMomentError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

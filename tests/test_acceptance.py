@@ -1,22 +1,19 @@
 """Acceptance suite: every criterion at its stated tolerance, one line each."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 
+from momentcrit.cli import RunConfig, analyze_state
 from momentcrit.criteria import (
     Outcome,
     breuer_bell_test,
-    breuer_inequality_test,
     generic_pt_det_test,
     hz_three_mode,
     hz_two_mode,
     map_test,
     multimode_bipartition,
-    pt_min_eig_test,
-    pt_norm_test,
-    pt_sylvester_test,
-    realign_norm_test,
     sv_cat_state_test,
 )
 from momentcrit.errors import SeriesDivergenceError
@@ -61,6 +58,7 @@ from momentcrit.sampling import (
 )
 from momentcrit import states
 
+BATTERY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "separable_battery.json"
 STD = OperatorClass.from_strings(["1", "a"], ["1", "b"])
 TRIPLE = OperatorClass.from_strings(["1", "a", "a"], ["1", "b", "b"])
 F1 = OperatorClass.from_strings(["1", "a", "Aa", "aa"], ["1", "b", "Bb", "bb"])
@@ -285,25 +283,14 @@ def test_acceptance_08d_separable_soundness():
         + [random_coherent_product(rng, 0.5) for _ in range(15)]
         + [random_coherent_separable_mixture(rng, 2, 0.5) for _ in range(10)]
     )
-    criteria = [
-        lambda s: pt_norm_test(s, STD),
-        lambda s: realign_norm_test(s, STD),
-        lambda s: pt_min_eig_test(s, STD),
-        lambda s: pt_sylvester_test(s, STD, max_minor_size=3),
-        lambda s: hz_two_mode(s),
-        lambda s: breuer_inequality_test(s),
-        lambda s: sv_cat_state_test(s),
-        lambda s: map_test(s, TRIPLE, stormer_map(), side="A", r=(2, 3, 7)),
-        lambda s: map_test(s, F2, BREUER4, side="A", r=(2, 5)),
-        lambda s: breuer_bell_test(s),
-    ]
-    flagged = 0
+    criteria = RunConfig.from_dict(json.loads(BATTERY_CONFIG.read_text())).criteria
+    flagged = errors = 0
     for state in battery:
-        for criterion in criteria:
-            v = criterion(state)
-            flagged += int(v.outcome is Outcome.ENTANGLED)
-    _report("08d.separable_battery", flagged == 0,
-            f"{len(battery)} states x {len(criteria)} criteria, {flagged} false flags")
+        report = analyze_state(state, criteria)
+        flagged += report["entangled_count"]
+        errors += report["error_count"]
+    _report("08d.separable_battery", flagged == errors == 0,
+            f"{len(battery)} states x {len(criteria)} criteria, {flagged} false flags, {errors} errors")
 
 
 def test_acceptance_08e_maps_preserve_psd():

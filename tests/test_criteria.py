@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from momentcrit.cli import RunConfig, analyze_state
 from momentcrit.criteria import (
     MINOR_SCAN_BUDGET,
     Outcome,
@@ -44,6 +47,7 @@ from momentcrit.sampling import (
 )
 from momentcrit import states
 
+BATTERY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "separable_battery.json"
 STD = OperatorClass.from_strings(["1", "a"], ["1", "b"])
 TRIPLE = OperatorClass.from_strings(["1", "a", "a"], ["1", "b", "b"])
 F2 = OperatorClass.from_strings(["1", "a", "Aa", "1"], ["1", "b", "Bb", "1"])
@@ -296,20 +300,6 @@ def test_tolerance_discipline_no_flips_at_doubled_tol():
                 assert v1.outcome == v2.outcome
 
 
-SEPARABLE_CRITERIA = [
-    lambda s: pt_norm_test(s, STD),
-    lambda s: realign_norm_test(s, STD),
-    lambda s: pt_min_eig_test(s, STD),
-    lambda s: pt_sylvester_test(s, STD, max_minor_size=3),
-    lambda s: hz_two_mode(s),
-    lambda s: breuer_inequality_test(s),
-    lambda s: sv_cat_state_test(s),
-    lambda s: map_test(s, TRIPLE, stormer_map(), side="A", r=(2, 3, 7)),
-    lambda s: map_test(s, F2, BREUER4, side="A", r=(2, 5)),
-    lambda s: breuer_bell_test(s),
-]
-
-
 def test_separable_battery_never_entangled():
     rng = np.random.default_rng(99)
     battery = []
@@ -320,12 +310,12 @@ def test_separable_battery_never_entangled():
     for _ in range(25):
         battery.append(random_coherent_separable_mixture(rng, terms=2, max_amp=0.5))
     assert len(battery) >= 100
+    criteria = RunConfig.from_dict(json.loads(BATTERY_CONFIG.read_text())).criteria
+    assert len(criteria) >= 10  # the shared soundness list must not shrink unnoticed
     for state in battery:
-        for criterion in SEPARABLE_CRITERIA:
-            v = criterion(state)
-            assert v.outcome is not Outcome.ENTANGLED, (
-                f"{v.criterion} flagged separable state {state.label}: {v.witness}"
-            )
+        report = analyze_state(state, criteria)
+        flagged = [r for r in report["verdicts"] if r["outcome"] in ("ENTANGLED", "ERROR")]
+        assert not flagged, f"separable state {state.label}: {flagged}"
 
 
 def test_mode_preconditions_fail_fast():

@@ -17,6 +17,8 @@ from momentcrit.fock import Monomial
 from momentcrit.moments import moment
 from momentcrit import states
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def test_library_singlet_and_bell():
     s = states.singlet()
@@ -160,7 +162,7 @@ def test_cli_error_records_exit_4(tmp_path, capsys, criterion):
 
 
 def test_cli_moment_table_runs_every_criterion(tmp_path, capsys):
-    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs/moment_table_ppt.json").read_text())
+    cfg = json.loads((CONFIGS / "moment_table_ppt.json").read_text())
     cfg["criteria"] += [{"name": "pt_min_eig"}, {"name": "hz_two_mode"}, {"name": "sv_cat"}]
     cfg["format"] = "structured"
     path = tmp_path / "c.json"
@@ -181,6 +183,38 @@ def test_cli_config_error_diagnostics(tmp_path, capsys):
     path.write_text(json.dumps({"criteria": []}))
     assert main(["analyze", str(path)]) == EXIT_CONFIG
     assert "state" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"criteria": [{"name": "pt_norm", "clas": {}}]}, "criteria[0] (pt_norm): unknown key(s) ['clas']"),
+        ({"criteria": [{"name": "pt_norm", "class": ["1", "a"]}]}, "criteria[0] (pt_norm) key 'class'"),
+        ({"criteria": [{"name": "pt_sylvester", "r": 3}]}, "criteria[0] (pt_sylvester) key 'r'"),
+        ({"criteria": [{"name": "pt_sylvester", "r": [1.5, 4]}]}, "(pt_sylvester) key 'r'"),
+        ({"criteria": [{"name": "map", "map": {"kind": "stormr"}}]}, "(map) key 'map': expected"),
+        ({"epsilon": "abc"}, "epsilon: could not convert"),
+        ({"tol": "abc"}, "tol: could not convert"),
+        ({"state": {"amplitudes": 5, "cutoffs": [2, 2]}}, "state.amplitudes: "),
+        ({"state": {"library": "singlet", "params": [1, 2]}}, "state.params must be an object"),
+        ({"state": {"library": "cat_prime", "params": {"alpah": 1}}}, "state.params: cat_prime()"),
+        ({"criteria": {"name": "pt_norm"}}, "config field 'criteria' must be a list"),
+    ],
+)
+def test_cli_rejects_bad_config_before_running(tmp_path, capsys, change, named):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"state": {"library": "singlet"}, "criteria": [], **change}))
+    assert main(["analyze", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_example_configs_run(path, capsys):
+    RunConfig.from_dict(json.loads(path.read_text()))
+    # the soundness list runs on a separable state; every other example detects
+    expected = EXIT_OK if path.name == "separable_battery.json" else EXIT_ENTANGLED
+    assert main(["analyze", str(path)]) == expected
 
 
 def test_cli_out_file_and_overrides(tmp_path):
