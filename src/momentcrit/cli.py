@@ -8,7 +8,9 @@ Subcommands:
 
 Config and report are JSON; complex numbers are [re, im] pairs.  ``CRITERIA``
 is the one criterion table.  ``RunConfig.from_dict`` checks every entry's keys
-and values against it and prepares each call before any state is built;
+and values against it and prepares each call before any state is built; it
+also refuses unknown top-level keys and a state object that mixes kinds or
+carries a key its kind does not take (``_STATE_KINDS``).
 ``analyze_state`` runs the prepared calls on a state or moment table.  Checks
 that need the state (modes, map dimension, side) stay with the criterion and
 end as ERROR records.
@@ -98,8 +100,10 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
+        _parse("config", lambda r: _check_keys(r, _CONFIG_KEYS), raw)
         if "state" not in raw:
             raise ConfigError("config field 'state' is required")
+        _state_kind(raw["state"])
         criteria = raw.get("criteria", [])
         if not isinstance(criteria, list):
             raise ConfigError("config field 'criteria' must be a list")
@@ -189,11 +193,29 @@ def verdict_to_dict(v: Verdict) -> dict:
 # -- state construction --------------------------------------------------------
 
 
-def _state_from_config(cfg: RunConfig):
-    spec = cfg.state
+_CONFIG_KEYS = {"state", "criteria", "format", "cutoff", "epsilon", "tol"}
+# state kind -> the other keys a state of that kind takes
+_STATE_KINDS = {"library": {"params"}, "amplitudes": {"cutoffs", "label"},
+                "density": {"cutoffs", "label"}, "moments": {"dims", "label"}}
+
+
+def _state_kind(spec) -> str:
+    """The kind of a state object whose keys are those of exactly one kind."""
     if not isinstance(spec, dict):
         raise ConfigError("config field 'state' must be an object")
-    if "library" in spec:
+    kinds = [k for k in _STATE_KINDS if k in spec]
+    if len(kinds) != 1:
+        raise ConfigError(
+            f"state must specify exactly one of: {', '.join(_STATE_KINDS)}; got {kinds}"
+        )
+    _parse("state", lambda s: _check_keys(s, {kinds[0], *_STATE_KINDS[kinds[0]]}), spec)
+    return kinds[0]
+
+
+def _state_from_config(cfg: RunConfig):
+    spec = cfg.state
+    kind = _state_kind(spec)
+    if kind == "library":
         params = spec.get("params") or {}
         if not isinstance(params, dict):
             raise ConfigError("state.params must be an object")
@@ -203,14 +225,7 @@ def _state_from_config(cfg: RunConfig):
             raise ConfigError(str(exc)) from exc
         except TypeError as exc:  # a parameter the library state does not take
             raise ConfigError(f"state.params: {exc}") from exc
-    for field, ndim, make in (("amplitudes", 1, StateVector), ("density", 2, DensityMatrix)):
-        if field in spec:
-            if "cutoffs" not in spec:
-                raise ConfigError(f"state.{field} requires state.cutoffs")
-            values = _parse(f"state.{field}", partial(_complex_array, ndim=ndim), spec[field])
-            cutoffs = ModeCutoffs(_parse("state.cutoffs", _ints, spec["cutoffs"]))
-            return make(cutoffs, values, label=spec.get("label", "custom"))
-    if "moments" in spec:
+    if kind == "moments":
         if spec.get("dims") is None:
             raise ConfigError("state.moments requires state.dims")
         dims = _parse("state.dims", _ints, spec["dims"])
@@ -220,7 +235,12 @@ def _state_from_config(cfg: RunConfig):
             spec["moments"],
         )
         return TableSource(table, len(dims), label=spec.get("label", "moment-table"), dims=dims)
-    raise ConfigError("state must specify one of: library, amplitudes, density, moments")
+    if "cutoffs" not in spec:
+        raise ConfigError(f"state.{kind} requires state.cutoffs")
+    make, ndim = (StateVector, 1) if kind == "amplitudes" else (DensityMatrix, 2)
+    values = _parse(f"state.{kind}", partial(_complex_array, ndim=ndim), spec[kind])
+    cutoffs = ModeCutoffs(_parse("state.cutoffs", _ints, spec["cutoffs"]))
+    return make(cutoffs, values, label=spec.get("label", "custom"))
 
 
 # -- criterion table -----------------------------------------------------------

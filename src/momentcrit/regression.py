@@ -1,9 +1,17 @@
-"""Reference regression suite: curated fixtures with known expected values.
+"""The one table of pinned reference values.
 
-Every fixture freezes a number or matrix that the implementation must
-reproduce, together with its tolerance.  ``run_regression_suite`` evaluates
-the whole battery and reports one pass/fail record per fixture; the CLI
-``regress`` subcommand exits nonzero on any failure.
+``fixtures()`` lists every number, matrix, flag and outcome that the paper's
+worked examples pin, each with its tolerance.  A row computes its value on
+call, through the public criterion that ``analyze`` runs wherever one exists
+(``pt_min_eig_test``, ``map_test``, ``hz_two_mode``, ...), so a pin checks the
+same code path as a report.  Listing the table builds no state.
+
+Two readers share it: ``run_regression_suite`` (the CLI ``regress``
+subcommand, which exits nonzero on any failure) and the parametrized
+``tests/test_acceptance.py::test_pinned_value``, one test per row.  Both judge
+a row with ``check``; the comparison follows from the type of the pinned
+value: arrays by max-abs difference, bools and ``Outcome``s by equality, other
+numbers by absolute difference, always strictly below the tolerance.
 
 The suite also carries a monitored (non-failing) observation: across the
 battery the normalized PT norm never drops below the normalized realignment
@@ -13,6 +21,8 @@ rather than failed.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -21,30 +31,25 @@ import numpy as np
 
 from . import states
 from .criteria import (
+    Bipartition,
     Outcome,
+    Verdict,
     breuer_bell_test,
     breuer_inequality_test,
+    generic_pt_det_test,
     hz_three_mode,
     hz_two_mode,
+    map_test,
+    min_eig_test,
+    pt_min_eig_test,
+    pt_norm_test,
+    pt_sylvester_test,
+    realign_norm_test,
     sv_cat_state_test,
 )
 from .fock import ladder_matrices, make_fock_state, superpose
-from .moments import (
-    OperatorClass,
-    build_generic_moment_matrix,
-    build_moment_matrix,
-    build_pt_moment_matrix,
-    GenericClass,
-    principal_submatrix,
-)
-from .posmaps import (
-    BreuerParams,
-    apply_partial,
-    breuer_antidiagonal_unitary,
-    breuer_map,
-    stormer,
-    stormer_map,
-)
+from .moments import GenericClass, OperatorClass, build_moment_matrix
+from .posmaps import BreuerParams, breuer_antidiagonal_unitary, breuer_map, stormer, stormer_map
 from .reorder import nu_gamma, nu_realign, realign, trace_norm
 from .sampling import random_density, random_pure_state
 
@@ -56,7 +61,6 @@ class Fixture:
     compute: Callable[[], object]
     expected: object
     tol: float = 0.0
-    kind: str = "value"  # value | matrix | flag
 
 
 @dataclass
@@ -88,393 +92,254 @@ class RegressionReport:
         return self.failed == 0
 
 
-def _std_class(num_modes: int = 2) -> OperatorClass:
-    return OperatorClass.from_strings(["1", "a"], ["1", "b"], num_modes=num_modes)
-
-
-def _triple_class() -> OperatorClass:
-    return OperatorClass.from_strings(["1", "a", "a"], ["1", "b", "b"])
-
-
 SQ2 = math.sqrt(2.0)
 SQ13 = math.sqrt(13.0)
 
 
-def _singlet_moment_matrix():
-    return build_moment_matrix(states.singlet(), _std_class()).entries
+def _std_class() -> OperatorClass:
+    return OperatorClass.from_strings(["1", "a"], ["1", "b"])
 
 
-def _singlet_pt():
-    return build_pt_moment_matrix(states.singlet(), _std_class()).entries
-
-
-def _partial_moment_matrix():
-    return build_moment_matrix(states.partial_example2(), _std_class()).entries
-
-
-def _stormer_r237(state) -> np.ndarray:
-    m = build_moment_matrix(state, _triple_class())
-    return principal_submatrix(apply_partial(m, stormer_map(), side="A"), (2, 3, 7))
-
-
-def _breuer_sub(state, side_a, side_b, r) -> np.ndarray:
-    cls = OperatorClass.from_strings(side_a, side_b)
-    pmap = breuer_map(BreuerParams(4, breuer_antidiagonal_unitary(4)))
-    m = build_moment_matrix(state, cls)
-    return principal_submatrix(apply_partial(m, pmap, side="A"), r)
-
-
-def _fixtures() -> list[Fixture]:
-    singlet = states.singlet()
-    partial = states.partial_example2()
-    bell = states.bell_phi_plus()
-    fixtures: list[Fixture] = []
-    add = fixtures.append
-
-    add(Fixture(
-        "ladder.qubit_lowering",
-        "cutoff-2 annihilation matrix equals the qubit lowering operator",
-        lambda: ladder_matrices(2)[0],
-        np.array([[0, 1], [0, 0]], dtype=complex),
-        1e-15,
-        "matrix",
-    ))
-    add(Fixture(
-        "singlet.moment_matrix",
-        "4x4 moment matrix of the singlet over (1,a)x(1,b)",
-        _singlet_moment_matrix,
-        np.array(
-            [[1, 0, 0, 0], [0, 0.5, -0.5, 0], [0, -0.5, 0.5, 0], [0, 0, 0, 0]],
-            dtype=complex,
-        ),
-        1e-12,
-        "matrix",
-    ))
-    add(Fixture(
-        "singlet.pt_det",
-        "determinant of the PT moment matrix",
-        lambda: float(np.linalg.det(_singlet_pt()).real),
-        -1.0 / 16.0,
-        1e-12,
-    ))
-    add(Fixture(
-        "singlet.pt_min_eig",
-        "minimum eigenvalue of the PT moment matrix",
-        lambda: float(np.linalg.eigvalsh(_singlet_pt())[0]),
-        (1.0 - SQ2) / 2.0,
-        1e-9,
-    ))
-    add(Fixture(
-        "singlet.nu_gamma",
-        "normalized PT trace norm",
-        lambda: nu_gamma(singlet, _std_class()),
-        (1.0 + SQ2) / 2.0,
-        1e-9,
-    ))
-    add(Fixture(
-        "singlet.nu_realign",
-        "normalized realignment trace norm",
-        lambda: nu_realign(singlet, _std_class()),
-        (1.0 + SQ2) / 2.0,
-        1e-9,
-    ))
-    add(Fixture(
-        "singlet.realign_trace_norm",
-        "unnormalized realignment trace norm (trace of the moment matrix is 2)",
-        lambda: trace_norm(realign(build_moment_matrix(singlet, _std_class())).entries),
-        1.0 + SQ2,
-        1e-9,
-    ))
-    add(Fixture(
-        "singlet.generic_pt_matrix",
-        "2x2 PT moment matrix over the generic class (1, ab)",
-        lambda: build_generic_moment_matrix(
-            singlet, GenericClass.from_strings(["1", "ab"]), conjugate_b_modes=True
-        ).entries,
-        np.array([[1, -0.5], [-0.5, 0]], dtype=complex),
-        1e-12,
-        "matrix",
-    ))
-    add(Fixture(
-        "singlet.hz_det",
-        "two-mode number-correlation determinant",
-        lambda: hz_two_mode(singlet).witness["det"],
-        -0.25,
-        1e-12,
-    ))
-    add(Fixture(
-        "singlet.stormer_r237_matrix",
-        "partially mapped 9x9, rows (2,3,7)",
-        lambda: _stormer_r237(singlet),
-        0.5 * np.array([[3, -1, 1], [-1, 2, 1], [1, 1, 1]], dtype=complex),
-        1e-12,
-        "matrix",
-    ))
-    add(Fixture(
-        "singlet.stormer_r237_det",
-        "determinant of the mapped submatrix",
-        lambda: float(np.linalg.det(_stormer_r237(singlet)).real),
-        -0.25,
-        1e-12,
-    ))
-    add(Fixture(
-        "singlet.breuer_f1_r25_matrix",
-        "time-reversal map on (1,a,Aa,aa)x(1,b,Bb,bb), rows (2,5)",
-        lambda: _breuer_sub(singlet, ["1", "a", "Aa", "aa"], ["1", "b", "Bb", "bb"], (2, 5)),
-        np.array([[1, 0.5], [0.5, 0]], dtype=complex),
-        1e-12,
-        "matrix",
-    ))
-    add(Fixture(
-        "singlet.breuer_f2_r25_matrix",
-        "time-reversal map on (1,a,Aa,1)x(1,b,Bb,1), rows (2,5)",
-        lambda: _breuer_sub(singlet, ["1", "a", "Aa", "1"], ["1", "b", "Bb", "1"], (2, 5)),
-        np.array([[2, 0.5], [0.5, 0]], dtype=complex),
-        1e-12,
-        "matrix",
-    ))
-    add(Fixture(
-        "singlet.breuer_f2_r25_det",
-        "determinant of the reduced witness",
-        lambda: float(np.linalg.det(
-            _breuer_sub(singlet, ["1", "a", "Aa", "1"], ["1", "b", "Bb", "1"], (2, 5))
-        ).real),
-        -0.25,
-        1e-12,
-    ))
-    add(Fixture(
-        "singlet.breuer_f3_r25_psd",
-        "rows (2,5) of the minimal redundant class stay PSD",
-        lambda: bool(np.linalg.eigvalsh(
-            _breuer_sub(singlet, ["1", "a", "1", "1"], ["1", "b", "1", "1"], (2, 5))
-        )[0] >= -1e-12),
-        True,
-        0.0,
-        "flag",
-    ))
-    add(Fixture(
-        "singlet.breuer_f3_r2578_det",
-        "rows (2,5,7,8) of the minimal redundant class detect the singlet",
-        lambda: float(np.linalg.det(
-            _breuer_sub(singlet, ["1", "a", "1", "1"], ["1", "b", "1", "1"], (2, 5, 7, 8))
-        ).real),
-        -0.25,
-        1e-12,
-    ))
-    add(Fixture(
-        "partial.moment_matrix",
-        "4x4 moment matrix of (|00>+|01>+|10>)/sqrt(3)",
-        _partial_moment_matrix,
-        np.array(
-            [[3, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 0]], dtype=complex
-        ) / 3.0,
-        1e-12,
-        "matrix",
-    ))
-    add(Fixture(
-        "partial.nu_gamma",
-        "normalized PT trace norm",
-        lambda: nu_gamma(partial, _std_class()),
-        1.1891,
-        5e-5,
-    ))
-    add(Fixture(
-        "partial.nu_realign",
-        "normalized realignment trace norm",
-        lambda: nu_realign(partial, _std_class()),
-        1.1891,
-        5e-5,
-    ))
-    add(Fixture(
-        "partial.pt_det",
-        "determinant of the PT moment matrix",
-        lambda: float(np.linalg.det(
-            build_pt_moment_matrix(partial, _std_class()).entries
-        ).real),
-        -1.0 / 81.0,
-        1e-12,
-    ))
-    add(Fixture(
-        "partial.generic_pt_matrix",
-        "2x2 PT moment matrix over (1, ab)",
-        lambda: build_generic_moment_matrix(
-            partial, GenericClass.from_strings(["1", "ab"]), conjugate_b_modes=True
-        ).entries,
-        np.array([[1, 1 / 3], [1 / 3, 0]], dtype=complex),
-        1e-12,
-        "matrix",
-    ))
-    add(Fixture(
-        "partial.hz_det",
-        "two-mode number-correlation determinant",
-        lambda: hz_two_mode(partial).witness["det"],
-        -1.0 / 9.0,
-        1e-12,
-    ))
-    add(Fixture(
-        "partial.hz_min_eig",
-        "minimum eigenvalue of the 2x2 PT submatrix",
-        lambda: float(np.linalg.eigvalsh(
-            build_generic_moment_matrix(
-                partial, GenericClass.from_strings(["1", "ab"]), conjugate_b_modes=True
-            ).entries
-        )[0]),
-        (3.0 - SQ13) / 6.0,
-        1e-9,
-    ))
-    add(Fixture(
-        "partial.stormer_r237_matrix",
-        "partially mapped 9x9, rows (2,3,7)",
-        lambda: _stormer_r237(partial),
-        np.array([[4, -1, -1], [-1, 2, -1], [-1, -1, 1]], dtype=complex) / 3.0,
-        1e-12,
-        "matrix",
-    ))
-    add(Fixture(
-        "partial.stormer_r237_det",
-        "determinant of the mapped submatrix",
-        lambda: float(np.linalg.det(_stormer_r237(partial)).real),
-        -1.0 / 27.0,
-        1e-12,
-    ))
-    add(Fixture(
-        "bell.breuer_r169_det_f1",
-        "Bell state, time-reversal map witness, rows (1,6,9), rich class",
-        lambda: breuer_bell_test(bell).witness["det_f1"],
-        -0.25,
-        1e-12,
-    ))
-    add(Fixture(
-        "bell.breuer_r169_det_f2",
-        "Bell state, time-reversal map witness, rows (1,6,9), reduced class",
-        lambda: breuer_bell_test(bell).witness["det_f2"],
-        -0.25,
-        1e-12,
-    ))
-    add(Fixture(
-        "stormer.indecomposable",
-        "the (2,0,1) map is flagged indecomposable",
-        lambda: bool(not stormer().decomposable),
-        True,
-        0.0,
-        "flag",
-    ))
-
-    for name, builder in (("cat_prime", states.cat_prime), ("cat_double_prime", states.cat_double_prime)):
-        state = builder(0.3, 0.2)
-        add(Fixture(
-            f"{name}.nu_realign",
-            "normalized realignment trace norm at alpha=0.3, beta=0.2",
-            (lambda s: lambda: nu_realign(s, _std_class()))(state),
-            1.1666,
-            1e-4,
-        ))
-        add(Fixture(
-            f"{name}.nu_gamma",
-            "normalized PT trace norm at alpha=0.3, beta=0.2",
-            (lambda s: lambda: nu_gamma(s, _std_class()))(state),
-            1.1783,
-            1e-4,
-        ))
-        add(Fixture(
-            f"{name}.sv_det_negative",
-            "3x3 PT determinant over (1, b, ab) is negative",
-            (lambda s: lambda: bool(sv_cat_state_test(s).witness["det"] < 0))(state),
-            True,
-            0.0,
-            "flag",
-        ))
-
-    w_like = superpose(
-        [(1.0, make_fock_state((0, 1, 1), (2, 2, 2))), (1.0, make_fock_state((1, 0, 0), (2, 2, 2)))],
+def _w_like():
+    cuts = (2, 2, 2)
+    return superpose(
+        [(1.0, make_fock_state((0, 1, 1), cuts)), (1.0, make_fock_state((1, 0, 0), cuts))],
         label="(|011>+|100>)/sqrt(2)",
     )
-    add(Fixture(
-        "three_mode.number_margin",
-        "three-mode number inequality margin on (|011>+|100>)/sqrt(2)",
-        lambda: hz_three_mode(w_like, variant=1).witness["margin"],
-        -0.25,
-        1e-12,
-    ))
-    add(Fixture(
-        "three_mode.detects",
-        "the margin certifies entanglement",
-        lambda: bool(hz_three_mode(w_like, variant=1).outcome is Outcome.ENTANGLED),
-        True,
-        0.0,
-        "flag",
-    ))
-    ghz = states.ghz3()
-    add(Fixture(
-        "ghz.variant2_boundary",
-        "GHZ sits exactly on the strict-inequality boundary: inconclusive, flagged",
-        lambda: bool(
-            (lambda v: v.outcome is Outcome.INCONCLUSIVE and v.boundary)(
-                hz_three_mode(ghz, variant=2)
-            )
-        ),
-        True,
-        0.0,
-        "flag",
-    ))
-    add(Fixture(
-        "singlet.breuer_inequality_det",
-        "two-mode time-reversal inequality determinant",
-        lambda: breuer_inequality_test(singlet).witness["det"],
-        -0.25,
-        1e-12,
-    ))
-    return fixtures
 
 
-def _compare(fixture: Fixture, actual) -> bool:
-    if fixture.kind == "flag":
-        return bool(actual) == bool(fixture.expected)
-    if fixture.kind == "matrix":
-        expected = np.asarray(fixture.expected)
+def _run(criterion: Callable, build: Callable, *args, **kwargs) -> Callable[[], Verdict]:
+    """A thunk that runs criterion on a freshly built state."""
+    return lambda: criterion(build(), *args, **kwargs)
+
+
+def _witness(verdict: Callable[[], Verdict], key: str) -> Callable[[], object]:
+    return lambda: verdict().witness[key]
+
+
+def _outcome(verdict: Callable[[], Verdict]) -> Callable[[], Outcome]:
+    return lambda: verdict().outcome
+
+
+def fixtures() -> list[Fixture]:
+    """Every pinned value, in report order.  Rows compute on call."""
+    std = _std_class()
+    triple = OperatorClass.from_strings(["1", "a", "a"], ["1", "b", "b"])
+    pair = GenericClass.from_strings(["1", "ab"])
+    singlet, partial, ghz = states.singlet, states.partial_example2, states.ghz3
+    stormer3, breuer4 = stormer_map(), breuer_map(BreuerParams(4, breuer_antidiagonal_unitary(4)))
+    f1 = OperatorClass.from_strings(["1", "a", "Aa", "aa"], ["1", "b", "Bb", "bb"])
+    f2 = OperatorClass.from_strings(["1", "a", "Aa", "1"], ["1", "b", "Bb", "1"])
+    f3 = OperatorClass.from_strings(["1", "a", "1", "1"], ["1", "b", "1", "1"])
+
+    def full_pt_det(build):  # the PT determinant is the principal minor over every row
+        minor = _run(pt_sylvester_test, build, std, r_list=[(1, 2, 3, 4)])
+        return _witness(minor, "min_principal_minor")
+
+    s_pt_eig = _run(pt_min_eig_test, singlet, std)
+    s_norm, s_realign = _run(pt_norm_test, singlet, std), _run(realign_norm_test, singlet, std)
+    s_r14 = _run(pt_sylvester_test, singlet, std, r_list=[(1, 4)])
+    s_generic, s_hz = _run(generic_pt_det_test, singlet, pair), _run(hz_two_mode, singlet)
+    s_stormer = _run(map_test, singlet, triple, stormer3, side="A", r=(2, 3, 7))
+    p_stormer = _run(map_test, partial, triple, stormer3, side="A", r=(2, 3, 7))
+    s_f1 = _run(map_test, singlet, f1, breuer4, side="A", r=(2, 5))
+    s_f2 = _run(map_test, singlet, f2, breuer4, side="A", r=(2, 5))
+    s_f3 = _run(map_test, singlet, f3, breuer4, side="A", r=(2, 5))
+    s_f3_big = _run(map_test, singlet, f3, breuer4, side="A", r=(2, 5, 7, 8))
+    s_ineq = _run(breuer_inequality_test, singlet)
+    p_norm, p_realign = _run(pt_norm_test, partial, std), _run(realign_norm_test, partial, std)
+    p_r14 = _run(pt_sylvester_test, partial, std, r_list=[(1, 4)])
+    p_generic, p_hz = _run(generic_pt_det_test, partial, pair), _run(hz_two_mode, partial)
+    b_bell = _run(breuer_bell_test, states.bell_phi_plus)
+    fock11_hz = _run(hz_two_mode, lambda: states.fock((1, 1)))
+    w_v1 = _run(hz_three_mode, _w_like, variant=1)
+    w_generic = _run(generic_pt_det_test, _w_like, Bipartition(3, 0).generic_class(["1", "abc"]))
+    ghz_v2 = _run(hz_three_mode, ghz, variant=2)
+    ghz_generic = _run(generic_pt_det_test, ghz, Bipartition(3, 0).generic_class(["a", "bc"]))
+    ENT, INC = Outcome.ENTANGLED, Outcome.INCONCLUSIVE
+
+    rows = [
+        Fixture("ladder.qubit_lowering",
+                "cutoff-2 annihilation matrix equals the qubit lowering operator",
+                lambda: ladder_matrices(2)[0], np.array([[0, 1], [0, 0]], dtype=complex), 1e-15),
+        Fixture("singlet.moment_matrix", "4x4 moment matrix of the singlet over (1,a)x(1,b)",
+                _witness(s_norm, "moment_matrix"),
+                np.array([[1, 0, 0, 0], [0, 0.5, -0.5, 0], [0, -0.5, 0.5, 0], [0, 0, 0, 0]],
+                         dtype=complex), 1e-12),
+        Fixture("singlet.pt_det", "determinant of the PT moment matrix",
+                full_pt_det(singlet), -1.0 / 16.0, 1e-12),
+        Fixture("singlet.pt_min_eig", "minimum eigenvalue of the PT moment matrix",
+                _witness(s_pt_eig, "min_eigenvalue"), (1.0 - SQ2) / 2.0, 1e-9),
+        Fixture("singlet.pt_min_eig_outcome", "pt_min_eig detects the singlet",
+                _outcome(s_pt_eig), ENT),
+        Fixture("singlet.nu_gamma", "normalized PT trace norm",
+                _witness(s_norm, "nu_gamma"), (1.0 + SQ2) / 2.0, 1e-9),
+        Fixture("singlet.pt_norm_outcome", "pt_norm detects the singlet", _outcome(s_norm), ENT),
+        Fixture("singlet.nu_realign", "normalized realignment trace norm",
+                _witness(s_realign, "nu_realign"), (1.0 + SQ2) / 2.0, 1e-9),
+        Fixture("singlet.realign_norm_outcome", "realign_norm detects the singlet",
+                _outcome(s_realign), ENT),
+        Fixture("singlet.realign_trace_norm",
+                "unnormalized realignment trace norm (trace of the moment matrix is 2)",
+                lambda: trace_norm(realign(build_moment_matrix(singlet(), std)).entries),
+                1.0 + SQ2, 1e-9),
+        Fixture("singlet.sylvester_r14_minor", "principal minor (1,4) of the PT moment matrix",
+                _witness(s_r14, "min_principal_minor"), -0.25, 1e-12),
+        Fixture("singlet.sylvester_r14_outcome", "the (1,4) minor detects the singlet",
+                _outcome(s_r14), ENT),
+        Fixture("singlet.generic_pt_matrix", "2x2 PT moment matrix over the generic class (1, ab)",
+                _witness(s_generic, "matrix"),
+                np.array([[1, -0.5], [-0.5, 0]], dtype=complex), 1e-12),
+        Fixture("singlet.generic_pt_det", "determinant over the generic class (1, ab)",
+                _witness(s_generic, "det"), -0.25, 1e-12),
+        Fixture("singlet.hz_det", "two-mode number-correlation determinant",
+                _witness(s_hz, "det"), -0.25, 1e-12),
+        Fixture("singlet.hz_outcome", "hz_two_mode detects the singlet", _outcome(s_hz), ENT),
+        Fixture("singlet.stormer_r237_matrix", "partially mapped 9x9, rows (2,3,7)",
+                _witness(s_stormer, "matrix"),
+                0.5 * np.array([[3, -1, 1], [-1, 2, 1], [1, 1, 1]], dtype=complex), 1e-12),
+        Fixture("singlet.stormer_r237_det", "determinant of the mapped submatrix",
+                _witness(s_stormer, "det"), -0.25, 1e-12),
+        Fixture("singlet.stormer_r237_outcome", "the Stormer submatrix detects the singlet",
+                _outcome(s_stormer), ENT),
+        Fixture("singlet.breuer_f1_r25_matrix",
+                "time-reversal map on (1,a,Aa,aa)x(1,b,Bb,bb), rows (2,5)",
+                _witness(s_f1, "matrix"), np.array([[1, 0.5], [0.5, 0]], dtype=complex), 1e-12),
+        Fixture("singlet.breuer_f1_r25_det", "determinant of the rich-class witness",
+                _witness(s_f1, "det"), -0.25, 1e-12),
+        Fixture("singlet.breuer_f1_r25_outcome", "the rich-class witness detects the singlet",
+                _outcome(s_f1), ENT),
+        Fixture("singlet.breuer_f2_r25_matrix",
+                "time-reversal map on (1,a,Aa,1)x(1,b,Bb,1), rows (2,5)",
+                _witness(s_f2, "matrix"), np.array([[2, 0.5], [0.5, 0]], dtype=complex), 1e-12),
+        Fixture("singlet.breuer_f2_r25_det", "determinant of the reduced witness",
+                _witness(s_f2, "det"), -0.25, 1e-12),
+        Fixture("singlet.breuer_f2_r25_outcome", "the reduced witness detects the singlet",
+                _outcome(s_f2), ENT),
+        Fixture("singlet.breuer_f3_r25_psd", "rows (2,5) of the minimal redundant class stay PSD",
+                lambda: bool(s_f3().witness["min_eigenvalue"] >= -1e-12), True),
+        Fixture("singlet.breuer_f3_r25_outcome", "rows (2,5) of the minimal class are inconclusive",
+                _outcome(s_f3), INC),
+        Fixture("singlet.breuer_f3_r2578_det",
+                "rows (2,5,7,8) of the minimal redundant class detect the singlet",
+                _witness(s_f3_big, "det"), -0.25, 1e-12),
+        Fixture("singlet.breuer_f3_r2578_outcome", "rows (2,5,7,8) give ENTANGLED",
+                _outcome(s_f3_big), ENT),
+        Fixture("singlet.breuer_inequality_det", "two-mode time-reversal inequality determinant",
+                _witness(s_ineq, "det"), -0.25, 1e-12),
+        Fixture("singlet.breuer_inequality_outcome",
+                "the time-reversal inequality detects the singlet",
+                _outcome(s_ineq), ENT),
+        Fixture("partial.moment_matrix", "4x4 moment matrix of (|00>+|01>+|10>)/sqrt(3)",
+                _witness(p_norm, "moment_matrix"),
+                np.array([[3, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 0]],
+                         dtype=complex) / 3.0, 1e-12),
+        Fixture("partial.nu_gamma", "normalized PT trace norm",
+                _witness(p_norm, "nu_gamma"), 1.1891, 5e-5),
+        Fixture("partial.nu_realign", "normalized realignment trace norm",
+                _witness(p_realign, "nu_realign"), 1.1891, 5e-5),
+        Fixture("partial.pt_det", "determinant of the PT moment matrix",
+                full_pt_det(partial), -1.0 / 81.0, 1e-12),
+        Fixture("partial.sylvester_r14_minor", "principal minor (1,4) of the PT moment matrix",
+                _witness(p_r14, "min_principal_minor"), -1.0 / 9.0, 1e-12),
+        Fixture("partial.generic_pt_matrix", "2x2 PT moment matrix over (1, ab)",
+                _witness(p_generic, "matrix"),
+                np.array([[1, 1 / 3], [1 / 3, 0]], dtype=complex), 1e-12),
+        Fixture("partial.hz_det", "two-mode number-correlation determinant",
+                _witness(p_hz, "det"), -1.0 / 9.0, 1e-12),
+        Fixture("partial.hz_min_eig", "minimum eigenvalue of the 2x2 PT submatrix",
+                lambda: min_eig_test(p_generic().witness["matrix"]).witness["min_eigenvalue"],
+                (3.0 - SQ13) / 6.0, 1e-9),
+        Fixture("partial.stormer_r237_matrix", "partially mapped 9x9, rows (2,3,7)",
+                _witness(p_stormer, "matrix"),
+                np.array([[4, -1, -1], [-1, 2, -1], [-1, -1, 1]], dtype=complex) / 3.0, 1e-12),
+        Fixture("partial.stormer_r237_det", "determinant of the mapped submatrix",
+                _witness(p_stormer, "det"), -1.0 / 27.0, 1e-12),
+        Fixture("bell.breuer_r169_det_f1",
+                "Bell state, time-reversal map witness, rows (1,6,9), rich class",
+                _witness(b_bell, "det_f1"), -0.25, 1e-12),
+        Fixture("bell.breuer_r169_det_f2",
+                "Bell state, time-reversal map witness, rows (1,6,9), reduced class",
+                _witness(b_bell, "det_f2"), -0.25, 1e-12),
+        Fixture("bell.breuer_bell_outcome", "breuer_bell detects the Bell state",
+                _outcome(b_bell), ENT),
+        Fixture("fock11.hz_n_a_n_b", "<N_a N_b> on |11>",
+                _witness(fock11_hz, "n_a_n_b"), 1.0, 1e-12),
+        Fixture("fock11.hz_outcome", "hz_two_mode is inconclusive on |11>",
+                _outcome(fock11_hz), INC),
+        Fixture("stormer.indecomposable", "the (2,0,1) map is flagged indecomposable",
+                lambda: not stormer().decomposable, True),
+    ]
+    for name in ("cat_prime", "cat_double_prime"):
+        cat = functools.partial(getattr(states, name), 0.3, 0.2)
+        sv = _run(sv_cat_state_test, cat)
+        rows += [
+            Fixture(f"{name}.nu_realign",
+                    "normalized realignment trace norm at alpha=0.3, beta=0.2",
+                    _witness(_run(realign_norm_test, cat, std), "nu_realign"), 1.1666, 1e-4),
+            Fixture(f"{name}.nu_gamma", "normalized PT trace norm at alpha=0.3, beta=0.2",
+                    _witness(_run(pt_norm_test, cat, std), "nu_gamma"), 1.1783, 1e-4),
+            Fixture(f"{name}.sv_det_negative", "3x3 PT determinant over (1, b, ab) is negative",
+                    lambda sv=sv: bool(sv().witness["det"] < 0), True),
+            Fixture(f"{name}.sv_outcome", "sv_cat detects the cat state", _outcome(sv), ENT),
+        ]
+    rows += [
+        Fixture("three_mode.number_margin",
+                "three-mode number inequality margin on (|011>+|100>)/sqrt(2)",
+                _witness(w_v1, "margin"), -0.25, 1e-12),
+        Fixture("three_mode.n_a_n_b_n_c", "<N_a N_b N_c> vanishes", _witness(w_v1, "n_a_n_b_n_c"),
+                0.0, 1e-12),
+        Fixture("three_mode.abs_sq_adag_b_c", "|<a^dag b c>|^2", _witness(w_v1, "abs_sq_adag_b_c"),
+                0.25, 1e-12),
+        Fixture("three_mode.detects", "the margin certifies entanglement", _outcome(w_v1), ENT),
+        Fixture("three_mode.generic_1_abc_det", "determinant over (1, abc), mode a vs modes b, c",
+                _witness(w_generic, "det"), -0.25, 1e-12),
+        Fixture("three_mode.generic_1_abc_outcome", "the (1, abc) determinant detects",
+                _outcome(w_generic), ENT),
+        Fixture("ghz.variant2_boundary", "GHZ sits exactly on the strict-inequality boundary",
+                lambda: ghz_v2().boundary, True),
+        Fixture("ghz.variant2_outcome", "the boundary is inconclusive", _outcome(ghz_v2), INC),
+        Fixture("ghz.variant2_n_a_times_n_b_n_c", "<N_a><N_b N_c>",
+                _witness(ghz_v2, "n_a_times_n_b_n_c"), 0.25, 1e-12),
+        Fixture("ghz.variant2_abs_sq_a_b_c", "|<a b c>|^2",
+                _witness(ghz_v2, "abs_sq_a_b_c"), 0.25, 1e-12),
+        Fixture("ghz.generic_a_bc_matrix", "[[<N_a>, <a (bc)^PT>], [.., <N_b N_c>]] over (a, bc)",
+                _witness(ghz_generic, "matrix"), np.full((2, 2), 0.5, dtype=complex), 1e-12),
+        Fixture("ghz.generic_a_bc_outcome", "GHZ saturates the (a, bc) determinant",
+                _outcome(ghz_generic), INC),
+        Fixture("ghz.generic_a_bc_boundary", "det = 0 is flagged as boundary",
+                lambda: ghz_generic().boundary, True),
+    ]
+    return rows
+
+
+def _matches(expected, actual, tol: float) -> bool:
+    """Whether actual reproduces expected; the kind of comparison follows expected."""
+    if isinstance(expected, (bool, Outcome)):
+        return bool(actual == expected)
+    if isinstance(expected, np.ndarray):
         actual = np.asarray(actual)
-        return actual.shape == expected.shape and bool(
-            np.max(np.abs(actual - expected)) <= fixture.tol
-        )
-    return abs(float(actual) - float(fixture.expected)) <= fixture.tol
+        return actual.shape == expected.shape and bool(np.max(np.abs(actual - expected)) < tol)
+    return bool(abs(actual - expected) < tol)
+
+
+def check(fixture: Fixture) -> FixtureResult:
+    """Compute one row and compare it with its pinned value."""
+    try:
+        actual = fixture.compute()
+        passed, error = _matches(fixture.expected, actual, fixture.tol), None
+    except Exception as exc:  # surfaced per fixture, batch continues
+        actual, passed, error = None, False, f"{type(exc).__name__}: {exc}"
+    return FixtureResult(fixture.fixture_id, fixture.description, passed, fixture.expected,
+                         actual, fixture.tol, error)
 
 
 def run_regression_suite(expected_overrides: dict | None = None) -> RegressionReport:
-    """Run every fixture; ``expected_overrides`` substitutes expected values
-    by fixture id (used to self-test that the harness can actually fail)."""
+    """Check every row; ``expected_overrides`` substitutes expected values by
+    fixture id (used to self-test that the harness can actually fail)."""
     overrides = expected_overrides or {}
-    report = RegressionReport()
-    for fixture in _fixtures():
-        if fixture.fixture_id in overrides:
-            fixture = Fixture(
-                fixture.fixture_id,
-                fixture.description,
-                fixture.compute,
-                overrides[fixture.fixture_id],
-                fixture.tol,
-                fixture.kind,
-            )
-        try:
-            actual = fixture.compute()
-            ok = _compare(fixture, actual)
-            error = None
-        except Exception as exc:  # surfaced per fixture, batch continues
-            actual = None
-            ok = False
-            error = f"{type(exc).__name__}: {exc}"
-        report.results.append(
-            FixtureResult(
-                fixture.fixture_id,
-                fixture.description,
-                ok,
-                fixture.expected,
-                actual,
-                fixture.tol,
-                error,
-            )
-        )
-    report.observations = norm_ordering_records()
-    return report
+    rows = [dataclasses.replace(f, expected=overrides.get(f.fixture_id, f.expected)) for f in fixtures()]
+    return RegressionReport([check(f) for f in rows], norm_ordering_records())
 
 
 def norm_ordering_records(extra_random: int = 20, seed: int = 7) -> list[dict]:

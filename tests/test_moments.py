@@ -136,12 +136,6 @@ def test_generic_pt_differs_from_naive_reorderings():
     assert abs(swapped.entries[1, 1]) < 1e-14
 
 
-def test_pt_moment_matrix_fixture():
-    pt = build_pt_moment_matrix(states.singlet(), STD)
-    assert abs(np.linalg.det(pt.entries).real + 1 / 16) < 1e-12
-    assert abs(np.linalg.eigvalsh(pt.entries)[0] - (1 - np.sqrt(2)) / 2) < 1e-9
-
-
 def test_pt_matches_explicit_state_level_pt():
     rng = np.random.default_rng(3)
     cls = OperatorClass.from_strings(["1", "a", "aa"], ["1", "b", "Bb"])

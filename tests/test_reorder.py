@@ -144,23 +144,6 @@ def test_trace_norm_basics():
     assert abs(trace_norm(realigned) - (1 + np.sqrt(2))) < 1e-12
 
 
-def test_nu_values_reproduce_fixtures():
-    singlet = states.singlet()
-    target = (1 + np.sqrt(2)) / 2
-    assert abs(nu_gamma(singlet, STD) - target) < 1e-9
-    assert abs(nu_realign(singlet, STD) - target) < 1e-9
-    partial = states.partial_example2()
-    assert abs(nu_gamma(partial, STD) - 1.1891) < 5e-5
-    assert abs(nu_realign(partial, STD) - 1.1891) < 5e-5
-
-
-def test_nu_cat_states():
-    for build in (states.cat_prime, states.cat_double_prime):
-        state = build(0.3, 0.2)
-        assert abs(nu_realign(state, STD) - 1.1666) < 1e-4
-        assert abs(nu_gamma(state, STD) - 1.1783) < 1e-4
-
-
 def test_nu_bounded_for_separable_fixtures():
     rng = np.random.default_rng(9)
     for _ in range(10):

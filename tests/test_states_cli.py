@@ -13,8 +13,9 @@ from momentcrit.cli import (
     main,
     run,
 )
+from momentcrit.criteria import pt_sylvester_test
 from momentcrit.fock import Monomial
-from momentcrit.moments import moment
+from momentcrit.moments import OperatorClass, moment
 from momentcrit import states
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -199,6 +200,18 @@ def test_cli_config_error_diagnostics(tmp_path, capsys):
         ({"state": {"library": "singlet", "params": [1, 2]}}, "state.params must be an object"),
         ({"state": {"library": "cat_prime", "params": {"alpah": 1}}}, "state.params: cat_prime()"),
         ({"criteria": {"name": "pt_norm"}}, "config field 'criteria' must be a list"),
+        ({"tolerance": 10.0}, "config: unknown key(s) ['tolerance']"),
+        ({"state": {"library": "singlet", "cutof": 5}}, "state: unknown key(s) ['cutof']"),
+        ({"state": {"library": "singlet", "label": "s"}}, "state: unknown key(s) ['label']"),
+        ({"state": {"amplitudes": [1, 0, 0, 0], "cutoffs": [2, 2], "dims": [2, 2]}},
+         "state: unknown key(s) ['dims']"),
+        ({"state": {"density": [[1]], "cutoffs": [1], "params": {}}},
+         "state: unknown key(s) ['params']"),
+        ({"state": {"moments": {"1": 1}, "dims": [2, 2], "cutoffs": [2, 2]}},
+         "state: unknown key(s) ['cutoffs']"),
+        ({"state": {"library": "singlet", "amplitudes": [1, 0, 0, 0]}},
+         "state must specify exactly one of"),
+        ({"state": {"cutoffs": [2, 2]}}, "state must specify exactly one of"),
     ],
 )
 def test_cli_rejects_bad_config_before_running(tmp_path, capsys, change, named):
@@ -215,6 +228,16 @@ def test_example_configs_run(path, capsys):
     # the soundness list runs on a separable state; every other example detects
     expected = EXIT_OK if path.name == "separable_battery.json" else EXIT_ENTANGLED
     assert main(["analyze", str(path)]) == expected
+
+
+def test_benchmark_config_shapes_accepted(monkeypatch):
+    # every config shape the benchmark generates must pass the config-time key checks
+    monkeypatch.syspath_prepend(str(CONFIGS.parent / "perfbench"))
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        for cell in workloads.generate(name, seed=0, tiny=True):
+            RunConfig.from_dict(cell.config)
 
 
 def test_cli_out_file_and_overrides(tmp_path):
@@ -248,10 +271,11 @@ def test_cli_complex_serialization(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == EXIT_ENTANGLED
     sub = payload["verdicts"][0]["witness"]["submatrix"]
-    # complex entries serialized as [re, im] pairs
-    assert len(sub[0][0]) == 2
-    assert abs(sub[0][0][0] - 1.0) < 1e-12 and sub[0][0][1] == 0.0
-    assert abs(sub[0][1][0] + 0.5) < 1e-12
+    # complex entries serialized as [re, im] pairs of the in-memory witness
+    std = OperatorClass.from_strings(["1", "a"], ["1", "b"])
+    expected = pt_sylvester_test(states.singlet(), std, r_list=[(1, 4)]).witness["submatrix"]
+    assert np.array(sub).shape == (2, 2, 2)
+    np.testing.assert_allclose(np.array(sub) @ [1, 1j], expected, atol=1e-15)
 
 
 def test_cli_list_commands(capsys):
