@@ -49,13 +49,10 @@ from .posmaps import (
     PositiveMap,
     apply_partial,
     breuer_antidiagonal_unitary,
-    breuer_apply,
     breuer_map,
     breuer_unitary,
-    choi_apply,
     choi_map,
     gell_mann_generators,
-    kossakowski_apply,
     kossakowski_map,
     stormer,
     stormer_map,

@@ -299,7 +299,7 @@ def _map_from(raw):
             return breuer_map(BreuerParams(dim, breuer_unitary(tuple(raw["phases"]), rotation)))
         return breuer_map(BreuerParams(dim, breuer_antidiagonal_unitary(dim)))
     n = index(raw.get("n", 3))
-    return kossakowski_map(KossakowskiParams(n, np.eye(n * n - 1) if rotation is None else rotation))
+    return kossakowski_map(KossakowskiParams(n, rotation))
 
 
 def _state_ppt(state, dims=None, tol=None):

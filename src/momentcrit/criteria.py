@@ -431,39 +431,31 @@ def breuer_inequality_test(
     )
 
 
-def _breuer_redundant_classes(num_modes: int = 2) -> dict[str, OperatorClass]:
-    """The three redundant 4-element classes used with the time-reversal map."""
-    return {
-        "f1": OperatorClass.from_strings(
-            ["1", "a", "Aa", "aa"], ["1", "b", "Bb", "bb"], num_modes=num_modes
-        ),
-        "f2": OperatorClass.from_strings(
-            ["1", "a", "Aa", "1"], ["1", "b", "Bb", "1"], num_modes=num_modes
-        ),
-        "f3": OperatorClass.from_strings(
-            ["1", "a", "1", "1"], ["1", "b", "1", "1"], num_modes=num_modes
-        ),
-    }
-
-
 def breuer_bell_test(state: State, tol: float | None = None) -> Verdict:
     """Time-reversal map witness on the r = (1, 6, 9) submatrix.
 
     Evaluates the partially transformed 16x16 moment matrices of the two
     redundant classes (1,a,Aa,aa) x (1,b,Bb,bb) and (1,a,Aa,1) x (1,b,Bb,1)
     with the canonical anti-diagonal unitary; ENTANGLED iff either 3x3
-    determinant is < -tol.
+    determinant is < -tol.  Only the first matrix is built: the second class
+    repeats the first one's sides (0, 1, 2, 0), so its matrix is a row and
+    column selection of the first.
     """
     if state.num_modes != 2:
         raise DimensionError("this witness is defined for two-mode states")
     tol = resolve_tol(state, tol)
     pmap = breuer_map(BreuerParams(4, breuer_antidiagonal_unitary(4)))
     r = (1, 6, 9)
+    f1 = build_moment_matrix(
+        state, OperatorClass.from_strings(["1", "a", "Aa", "aa"], ["1", "b", "Bb", "bb"])
+    ).entries
+    # flat row l * 4 + k of side pair (k, l), B side slow
+    sides = np.array([0, 1, 2, 0])
+    rows = (4 * sides[:, None] + sides).reshape(-1)
     dets = {}
     mats = {}
-    for name in ("f1", "f2"):
-        cls = _breuer_redundant_classes()[name]
-        transformed = apply_partial(build_moment_matrix(state, cls), pmap, side="A")
+    for name, entries in (("f1", f1), ("f2", f1[np.ix_(rows, rows)])):
+        transformed = apply_partial(entries, pmap, side="A", dims=(4, 4))
         sub = principal_submatrix(transformed, r)
         dets[name] = float(np.linalg.det(sub).real)
         mats[name] = sub

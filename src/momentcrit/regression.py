@@ -49,7 +49,17 @@ from .criteria import (
 )
 from .fock import ladder_matrices, make_fock_state, superpose
 from .moments import GenericClass, OperatorClass, build_moment_matrix
-from .posmaps import BreuerParams, breuer_antidiagonal_unitary, breuer_map, stormer, stormer_map
+from .posmaps import (
+    BreuerParams,
+    ChoiParams,
+    KossakowskiParams,
+    breuer_antidiagonal_unitary,
+    breuer_map,
+    choi_map,
+    kossakowski_map,
+    stormer,
+    stormer_map,
+)
 from .reorder import nu_gamma, nu_realign, realign, trace_norm
 from .sampling import random_density, random_pure_state
 
@@ -157,6 +167,10 @@ def fixtures() -> list[Fixture]:
     ghz_v2 = _run(hz_three_mode, ghz, variant=2)
     ghz_generic = _run(generic_pt_det_test, ghz, Bipartition(3, 0).generic_class(["a", "bc"]))
     ENT, INC = Outcome.ENTANGLED, Outcome.INCONCLUSIVE
+    choi = choi_map(ChoiParams(2.5, 0.4, 0.3))
+    diag123 = np.diag([1.0, 2.0, 3.0])
+    probe3 = np.array([[1, 2, 0], [0, 2, 0], [0, 1j, 3]])  # diagonal 1, 2, 3
+    probe4 = np.array([[1, 5, 0, 0], [0, 2, 0, 0], [1j, 0, 3, 0], [0, 0, 0, 4]])
 
     rows = [
         Fixture("ladder.qubit_lowering",
@@ -269,6 +283,23 @@ def fixtures() -> list[Fixture]:
                 _outcome(fock11_hz), INC),
         Fixture("stormer.indecomposable", "the (2,0,1) map is flagged indecomposable",
                 lambda: not stormer().decomposable, True),
+        Fixture("choi.diag_probe", "choi(2.5,0.4,0.3) on diag(1,2,3): -A + diag(4.2, 6.5, 8.5)",
+                lambda: choi(diag123), np.diag([3.2, 4.5, 5.5]).astype(complex), 1e-12),
+        Fixture("choi.offdiag_probe", "choi(2.5,0.4,0.3) negates the off-diagonal entries",
+                lambda: choi(probe3),
+                np.array([[3.2, -2, 0], [0, 4.5, 0], [0, -1j, 5.5]]), 1e-12),
+        Fixture("stormer.diag_probe", "stormer on diag(1,2,3): -A + diag(2+3, 1+4, 2+6)",
+                lambda: stormer3(diag123), np.diag([4.0, 3.0, 5.0]).astype(complex), 1e-12),
+        Fixture("kossakowski.flip_probe",
+                "n=3 rotation map flipping the (0,1) and (0,2) symmetric generators, on trace 6: "
+                "I + A/2 - (A01 + A10)/2 (E01 + E10) - (A02 + A20)/2 (E02 + E20)",
+                lambda: kossakowski_map(KossakowskiParams(3, np.diag([-1.0, -1] + [1] * 6)))(probe3),
+                np.array([[1.5, 0, 0], [-1, 2, 0], [0, 0.5j, 2.5]]), 1e-12),
+        Fixture("breuer4.probe",
+                "anti-diagonal breuer(d=4): 10 I - A - U A^T U^dag, "
+                "(U A^T U^dag)_ij = s_i s_j A_(3-j)(3-i), s = (1, 1, -1, -1)",
+                lambda: breuer4(probe4),
+                np.array([[5, -5, 0, 0], [0, 5, 0, 0], [-1j, 0, 5, -5], [0, 1j, 0, 5]]), 1e-12),
     ]
     for name in ("cat_prime", "cat_double_prime"):
         cat = functools.partial(getattr(states, name), 0.3, 0.2)

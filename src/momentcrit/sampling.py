@@ -94,16 +94,3 @@ def random_coherent_separable_mixture(
     weights = rng.random(terms) + 0.05
     return mix(list(zip(weights, rebuilt)), label="random_coherent_mixture")
 
-
-def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-ish random special orthogonal matrix."""
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return z @ z.conj().T

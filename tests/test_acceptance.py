@@ -40,12 +40,11 @@ from momentcrit.sampling import (
     random_coherent_separable_mixture,
     random_density,
     random_product_pure,
-    random_psd,
     random_pure_state,
-    random_rotation,
     random_separable_mixture,
 )
 from momentcrit import states
+from oracles import random_psd, random_rotation
 
 BATTERY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "separable_battery.json"
 STD = OperatorClass.from_strings(["1", "a"], ["1", "b"])

@@ -8,19 +8,23 @@ from momentcrit.posmaps import (
     KossakowskiParams,
     apply_partial,
     breuer_antidiagonal_unitary,
-    breuer_apply,
     breuer_map,
     breuer_unitary,
-    choi_apply,
     choi_map,
     gell_mann_generators,
-    identity_map,
-    kossakowski_apply,
     kossakowski_map,
     stormer,
     stormer_map,
 )
-from momentcrit.sampling import random_psd, random_rotation
+from oracles import (
+    blockwise_apply_partial,
+    breuer_apply,
+    choi_apply,
+    identity_map,
+    kossakowski_apply,
+    random_psd,
+    random_rotation,
+)
 
 
 def test_choi_params_validation():
@@ -42,20 +46,20 @@ def test_stormer_special_case():
 
 
 def test_choi_action_on_identity_and_basis():
-    p = stormer()
-    np.testing.assert_allclose(choi_apply(p, np.eye(3)), 2 * np.eye(3), atol=0)
-    out = choi_apply(p, np.diag([1.0, 0, 0]))
+    pmap = stormer_map()
+    np.testing.assert_allclose(pmap(np.eye(3)), 2 * np.eye(3), atol=0)
+    out = pmap(np.diag([1.0, 0, 0]))
     np.testing.assert_allclose(out, np.diag([1.0, 1.0, 0]), atol=0)
     with pytest.raises(DimensionError):
-        choi_apply(p, np.eye(4))
+        pmap(np.eye(4))
 
 
 def test_stormer_equals_choi_201_everywhere():
     rng = np.random.default_rng(0)
-    p = ChoiParams(2, 0, 1)
+    pmap = choi_map(ChoiParams(2, 0, 1))
     for _ in range(10):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        np.testing.assert_allclose(choi_apply(stormer(), a), choi_apply(p, a), atol=1e-12)
+        np.testing.assert_allclose(stormer_map()(a), pmap(a), atol=1e-12)
 
 
 def test_gell_mann_n2_is_scaled_pauli():
@@ -95,18 +99,18 @@ def test_gell_mann_completeness(n):
 
 
 def test_kossakowski_identity_rotation():
-    p = KossakowskiParams(3, np.eye(8))
-    np.testing.assert_allclose(kossakowski_apply(p, np.eye(3)), np.eye(3), atol=1e-14)
+    pmap = kossakowski_map(KossakowskiParams(3, np.eye(8)))
+    np.testing.assert_allclose(pmap(np.eye(3)), np.eye(3), atol=1e-14)
     rng = np.random.default_rng(2)
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     a = z + z.conj().T
     traceless = a - np.trace(a) / 3 * np.eye(3)
-    out = kossakowski_apply(p, traceless)
+    out = pmap(traceless)
     assert abs(np.trace(out)) < 1e-12
-    # trace preservation for y = 0, brute force over random inputs
+    # trace preservation, brute force over random inputs
     for _ in range(5):
         z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert abs(np.trace(kossakowski_apply(p, z)) - np.trace(z)) < 1e-12
+        assert abs(np.trace(pmap(z)) - np.trace(z)) < 1e-12
 
 
 def test_kossakowski_validation():
@@ -116,8 +120,6 @@ def test_kossakowski_validation():
     bad[0, 0] = -1  # det -1
     with pytest.raises(ValueError):
         KossakowskiParams(3, bad)
-    with pytest.raises(ValueError):
-        KossakowskiParams(3, np.eye(8), y=np.ones(8))
 
 
 def test_breuer_unitary_construction():
@@ -153,11 +155,11 @@ def test_breuer_params_validation():
 
 
 def test_breuer_apply_identity_and_diagonal():
-    p = BreuerParams(4, breuer_antidiagonal_unitary(4))
-    np.testing.assert_allclose(breuer_apply(p, np.eye(4)), 2 * np.eye(4), atol=0)
+    pmap = breuer_map(BreuerParams(4, breuer_antidiagonal_unitary(4)))
+    np.testing.assert_allclose(pmap(np.eye(4)), 2 * np.eye(4), atol=0)
     diag = np.diag([1.0, 2.0, 3.0, 4.0])
     expected = 10 * np.eye(4) - diag - np.diag([4.0, 3.0, 2.0, 1.0])
-    np.testing.assert_allclose(breuer_apply(p, diag), expected, atol=0)
+    np.testing.assert_allclose(pmap(diag), expected, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -182,6 +184,37 @@ def test_catalog_preserves_positivity(factory):
         psd = random_psd(rng, pmap.dim)
         out = pmap(psd)
         assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] >= -1e-10
+
+
+@pytest.mark.parametrize(
+    "params, build, oracle",
+    [
+        (stormer(), lambda p: stormer_map(), choi_apply),
+        (ChoiParams(2.5, 0.4, 0.3), choi_map, choi_apply),
+        (KossakowskiParams(3, random_rotation(np.random.default_rng(8), 8)),
+         kossakowski_map, kossakowski_apply),
+        (KossakowskiParams(4, random_rotation(np.random.default_rng(15), 15)),
+         kossakowski_map, kossakowski_apply),
+        (BreuerParams(4, breuer_antidiagonal_unitary(4)), breuer_map, breuer_apply),
+        (BreuerParams(4, breuer_unitary((0.7, 1.9), random_rotation(np.random.default_rng(4), 4))),
+         breuer_map, breuer_apply),
+    ],
+    ids=["stormer", "choi", "kossakowski3", "kossakowski4", "breuer_antidiagonal", "breuer_rotated"],
+)
+def test_superoperator_matches_formula_oracle(params, build, oracle):
+    pmap = build(params)
+    d = pmap.dim
+    # column i*d + j of the superoperator is the image of the matrix unit E_ij
+    units = np.eye(d * d).reshape(-1, d, d)
+    columns = np.array([oracle(params, unit).reshape(-1) for unit in units]).T
+    np.testing.assert_allclose(pmap.matrix, columns, atol=1e-15)
+    # the one-contraction partial map equals the blockwise loop on both sides
+    rng = np.random.default_rng(6)
+    for dims in ((3, 4), (4, 3)):
+        side = "A" if dims[0] == d else "B"
+        m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        expected = blockwise_apply_partial(m, lambda a: oracle(params, a), side, dims)
+        np.testing.assert_allclose(apply_partial(m, pmap, side=side, dims=dims), expected, atol=1e-13)
 
 
 def test_apply_partial_identity_map_is_noop():

@@ -212,6 +212,10 @@ def test_cli_config_error_diagnostics(tmp_path, capsys):
         ({"state": {"library": "singlet", "amplitudes": [1, 0, 0, 0]}},
          "state must specify exactly one of"),
         ({"state": {"cutoffs": [2, 2]}}, "state must specify exactly one of"),
+        ({"criteria": [{"name": "map", "map": {"kind": "breuer", "dim": 200000}}]},
+         "dimension must be even and in 4..32, got 200000"),
+        ({"criteria": [{"name": "map", "map": {"kind": "kossakowski", "n": 3000}}]},
+         "dimension must be in 2..32, got 3000"),
     ],
 )
 def test_cli_rejects_bad_config_before_running(tmp_path, capsys, change, named):
