@@ -4,8 +4,8 @@
 Each state is checked twice: as a state, and as its complete moment table
 (every two-mode monomial with powers <= 3, enough for all criteria there), so
 the scan covers the table path too.  A correct build prints zero ENTANGLED
-verdicts and zero ERROR records.  Useful when touching tolerances, padding
-policy or the map catalog.
+verdicts and zero ERROR records.  Useful when touching tolerances, the
+moment engine or the map catalog.
 
 Usage: python scripts/run_separable_battery.py [--states N] [--seed S]
 """

@@ -14,11 +14,9 @@ from .fock import (
     ModeCutoffs,
     Monomial,
     StateVector,
-    ladder_matrices,
     make_coherent_superposition,
     make_fock_state,
     mix,
-    monomial_matrix,
     superpose,
 )
 from .moments import (

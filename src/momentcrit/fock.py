@@ -52,15 +52,6 @@ class ModeCutoffs:
     def total_dimension(self) -> int:
         return math.prod(self.cutoffs)
 
-    def padded(self, extra: tuple[int, ...] | int) -> "ModeCutoffs":
-        """Cutoffs enlarged per mode; the cap is lifted, padding is internal."""
-        if isinstance(extra, int):
-            extra = (extra,) * self.num_modes
-        if len(extra) != self.num_modes:
-            raise DimensionError("padding length does not match the number of modes")
-        new = tuple(c + int(e) for c, e in zip(self.cutoffs, extra))
-        return ModeCutoffs(new, cap=max(self.cap, math.prod(new)))
-
 
 @dataclass(frozen=True)
 class Monomial:
@@ -149,28 +140,6 @@ class Monomial:
                 for (n1, m1), (n2, m2) in zip(self.powers, other.powers)
             )
         )
-
-
-def ladder_matrices(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated annihilation/creation matrices: a|n> = sqrt(n)|n-1>."""
-    if cutoff < 1:
-        raise DimensionError("cutoff must be >= 1")
-    a = np.zeros((cutoff, cutoff), dtype=complex)
-    for n in range(1, cutoff):
-        a[n - 1, n] = math.sqrt(n)
-    return a, a.conj().T
-
-
-def monomial_matrix(spec: Monomial, cutoffs: ModeCutoffs) -> np.ndarray:
-    """Dense matrix of the monomial on the truncated multi-mode space."""
-    if spec.num_modes != cutoffs.num_modes:
-        raise DimensionError("monomial and cutoffs disagree on the number of modes")
-    out = np.eye(1, dtype=complex)
-    for (n, m), c in zip(spec.powers, cutoffs.cutoffs):
-        a, adag = ladder_matrices(c)
-        factor = np.linalg.matrix_power(adag, n) @ np.linalg.matrix_power(a, m)
-        out = np.kron(out, factor)
-    return out
 
 
 def _check_amplitude_length(amplitudes: np.ndarray, cutoffs: ModeCutoffs) -> None:
@@ -421,28 +390,6 @@ def mix(terms: list[tuple[float, StateVector | DensityMatrix]], label: str = "mi
         mat += (w / total) * rho
         exact = exact and state.exact
     return DensityMatrix(cutoffs, mat, label=label, exact=exact)
-
-
-# -- zero-padding embeddings (truncation-leakage policy support) --------------
-
-
-def pad_vector(amplitudes: np.ndarray, old: ModeCutoffs, new: ModeCutoffs) -> np.ndarray:
-    if any(n < o for o, n in zip(old.cutoffs, new.cutoffs)):
-        raise DimensionError("padded cutoffs must dominate the original ones")
-    src = amplitudes.reshape(old.cutoffs)
-    out = np.zeros(new.cutoffs, dtype=complex)
-    out[tuple(slice(0, c) for c in old.cutoffs)] = src
-    return out.reshape(-1)
-
-
-def pad_matrix(matrix: np.ndarray, old: ModeCutoffs, new: ModeCutoffs) -> np.ndarray:
-    if any(n < o for o, n in zip(old.cutoffs, new.cutoffs)):
-        raise DimensionError("padded cutoffs must dominate the original ones")
-    src = matrix.reshape(old.cutoffs + old.cutoffs)
-    out = np.zeros(new.cutoffs + new.cutoffs, dtype=complex)
-    out[tuple(slice(0, c) for c in old.cutoffs + old.cutoffs)] = src
-    d = new.total_dimension
-    return out.reshape(d, d)
 
 
 def partial_transpose_fock(

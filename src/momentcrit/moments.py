@@ -12,17 +12,18 @@ fastest.  For the two-mode class (1, a) x (1, b) this is the row order
 regression suite hold in exactly this ordering, with partial maps acting on
 the fast (A) factor; see reorder.py and posmaps.py.
 
-Truncation-leakage policy: moments are evaluated on a working space obtained
-by zero-padding the state, with per-mode padding equal to the largest
-creation power plus the largest annihilation power appearing in the operator
-class.  Ladder products then act exactly on the state's support, so all
+Truncation-leakage policy: on the Fock basis every ladder monomial is a
+weighted shift, (a^dag)^n a^m |k> = c(k) |k-m+n>, so a Fock state is read
+through per-op shift tables (``shift_tables``) that act exactly on the
+state's support.  Each mode's output space grows by the largest creation
+power of the class, so no image is cut off and nothing is padded: all
 finite-excitation fixtures are exact and coherent states converge with the
 deficit-controlled cutoff.
 
 This module is the only place a moment is evaluated: a Fock state through
-dense operators on its padded working space, a measured ``TableSource`` by
-lookup.  Operator products are normally ordered first, so both feed every
-criterion and the reconstruction alike.
+its shift tables, a measured ``TableSource`` by lookup.  Operator products
+are normally ordered first, so both feed every criterion and the
+reconstruction alike.
 """
 
 from __future__ import annotations
@@ -34,15 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InconsistentMomentsError, MissingMomentError
-from .fock import (
-    ModeCutoffs,
-    Monomial,
-    State,
-    StateVector,
-    monomial_matrix,
-    pad_matrix,
-    pad_vector,
-)
+from .fock import Monomial, State, StateVector
 
 _HERMITICITY_TOL = 1e-10
 
@@ -224,23 +217,6 @@ def flatten_index(k: int, l: int, d_a: int, d_b: int | None = None) -> int:
     return (l - 1) * d_a + k
 
 
-def _working_cutoffs(state: State, specs: tuple[Monomial, ...]) -> ModeCutoffs:
-    """Support cutoff plus (max creation + max annihilation) power per mode."""
-    pads = []
-    for q in range(state.num_modes):
-        max_n = max((spec.powers[q][0] for spec in specs), default=0)
-        max_m = max((spec.powers[q][1] for spec in specs), default=0)
-        pads.append(max_n + max_m)
-    return state.cutoffs.padded(tuple(pads))
-
-
-def _padded_state_arrays(state: State, working: ModeCutoffs):
-    """Return (vector or None, matrix or None) on the working space."""
-    if isinstance(state, StateVector):
-        return pad_vector(state.amplitudes, state.cutoffs, working), None
-    return None, pad_matrix(state.matrix, state.cutoffs, working)
-
-
 class TableSource:
     """Moment source backed by an explicit table {Monomial: value}.
 
@@ -282,18 +258,15 @@ class TableSource:
 
 
 def moment(source: State | TableSource, spec: Monomial) -> complex:
-    """Single moment <spec>: a table lookup, or Tr(rho * monomial) on the padded space."""
+    """Single moment <spec>: a table lookup, or one entry of a two-row Gram matrix."""
     if spec.num_modes != source.num_modes:
         raise DimensionError("monomial and source disagree on the number of modes")
     if isinstance(source, TableSource):
         return source.moment(spec)
-    working = _working_cutoffs(source, (spec,))
-    vec, mat = _padded_state_arrays(source, working)
-    op = monomial_matrix(spec, working)
-    if vec is not None:
-        return complex(np.vdot(vec, op @ vec))
-    # Tr(op rho) without forming the product
-    return complex(np.sum(op.T * mat))
+    # <(a^dag)^n a^m> = <(a^n)^dag a^m>: both factors only annihilate, so this costs O(D)
+    left = Monomial(tuple((0, n) for n, _ in spec.powers))
+    right = Monomial(tuple((0, m) for _, m in spec.powers))
+    return complex(_gram_moments(source, (left, right))[0, 1])
 
 
 def normal_order(factors: tuple[Monomial, ...]) -> list[tuple[int, Monomial]]:
@@ -354,20 +327,55 @@ def _hermitian_from(n: int, entry) -> np.ndarray:
     return out
 
 
+def shift_tables(
+    ops: tuple[Monomial, ...], cutoffs: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every op as a weighted shift of the Fock basis: (src, weight), each n x D_out.
+
+    Mode q of the output space keeps occupations 0 .. cutoffs[q] + N_q - 1,
+    N_q the largest creation power of mode q among ``ops``, so every image of
+    a basis ket is kept.  For output ket x (flat, last mode fastest) row i
+    gives ``F_i |src[i, x]> = weight[i, x] |x>``, or src -1 and weight 0
+    where no ket of the state's space maps to x.  A weight is the product of
+    sqrt(j + s) over the steps from the intermediate occupation j = x - n up
+    to x and up to the source j + m: no factorial or lgamma is formed, so a
+    weight is a few roundings from exact at any occupation.
+    """
+    src = np.zeros((len(ops), 1), dtype=np.intp)
+    weight = np.ones((len(ops), 1))
+    for q, cutoff in enumerate(cutoffs):
+        n = np.array([op.powers[q][0] for op in ops])[:, None]
+        m = np.array([op.powers[q][1] for op in ops])[:, None]
+        j = np.arange(cutoff + n.max()) - n
+        live = (j >= 0) & (j + m < cutoff)
+        j = np.where(live, j, 0)
+        w = live.astype(float)
+        for s in range(1, max(n.max(), m.max()) + 1):
+            root = np.sqrt(j + s)
+            w *= np.where(s <= n, root, 1.0) * np.where(s <= m, root, 1.0)
+        src = (src[:, :, None] * cutoff + (j + m)[:, None, :]).reshape(len(ops), -1)
+        weight = (weight[:, :, None] * w[:, None, :]).reshape(len(ops), -1)
+    return np.where(weight > 0, src, -1), weight
+
+
 def _gram_moments(source: State | TableSource, ops: tuple[Monomial, ...]) -> np.ndarray:
-    """Matrix of <ops_i^dag ops_j>; dense operators on the padded space for states."""
+    """Matrix of <ops_i^dag ops_j>; shift tables on the state's own basis for states."""
     n = len(ops)
     if isinstance(source, TableSource):
         return _hermitian_from(n, lambda i, j: op_expectation(source, (ops[i].dagger(), ops[j])))
-    working = _working_cutoffs(source, ops)
-    vec, mat = _padded_state_arrays(source, working)
-    matrices = [monomial_matrix(op, working) for op in ops]
-    if vec is not None:
-        phis = [m @ vec for m in matrices]
-        return _hermitian_from(n, lambda i, j: np.vdot(phis[i], phis[j]))
-    right = [m @ mat for m in matrices]
-    # Tr(F_i^dag F_j rho) = sum conj(F_i) * (F_j rho), entrywise
-    return _hermitian_from(n, lambda i, j: np.vdot(matrices[i], right[j]))
+    src, weight = shift_tables(ops, source.cutoffs.cutoffs)
+    # src -1 reads the last entry, which a zero weight cancels
+    if isinstance(source, StateVector):
+        phi = weight * source.amplitudes[src]  # phi[i, x] = <x|F_i|psi>
+        upper = np.triu(np.conj(phi) @ phi.T)
+    else:
+        # Tr(F_j rho F_i^dag) = sum_x w_i[x] w_j[x] rho[src_j[x], src_i[x]], one row i at a
+        # time, so no n^2 x D_out array is formed
+        rho = source.matrix
+        upper = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            upper[i, i:] = np.einsum("jx,jx->j", weight[i:] * weight[i], rho[src[i:], src[i]])
+    return upper + np.triu(upper, 1).conj().T
 
 
 def build_moment_matrix(state: State | TableSource, cls: OperatorClass) -> MomentMatrix:

@@ -47,8 +47,8 @@ from .criteria import (
     realign_norm_test,
     sv_cat_state_test,
 )
-from .fock import ladder_matrices, make_fock_state, superpose
-from .moments import GenericClass, OperatorClass, build_moment_matrix
+from .fock import Monomial, make_fock_state, superpose
+from .moments import GenericClass, OperatorClass, build_moment_matrix, shift_tables
 from .posmaps import (
     BreuerParams,
     ChoiParams,
@@ -118,6 +118,15 @@ def _w_like():
     )
 
 
+def _lowering_matrix(cutoff: int) -> np.ndarray:
+    """Matrix of the annihilation operator read off its shift table."""
+    src, weight = shift_tables((Monomial(((0, 1),)),), (cutoff,))
+    out = np.zeros((cutoff, cutoff), dtype=complex)
+    live = src[0] >= 0
+    out[np.flatnonzero(live), src[0][live]] = weight[0][live]
+    return out
+
+
 def _run(criterion: Callable, build: Callable, *args, **kwargs) -> Callable[[], Verdict]:
     """A thunk that runs criterion on a freshly built state."""
     return lambda: criterion(build(), *args, **kwargs)
@@ -175,7 +184,7 @@ def fixtures() -> list[Fixture]:
     rows = [
         Fixture("ladder.qubit_lowering",
                 "cutoff-2 annihilation matrix equals the qubit lowering operator",
-                lambda: ladder_matrices(2)[0], np.array([[0, 1], [0, 0]], dtype=complex), 1e-15),
+                lambda: _lowering_matrix(2), np.array([[0, 1], [0, 0]], dtype=complex), 1e-15),
         Fixture("singlet.moment_matrix", "4x4 moment matrix of the singlet over (1,a)x(1,b)",
                 _witness(s_norm, "moment_matrix"),
                 np.array([[1, 0, 0, 0], [0, 0.5, -0.5, 0], [0, -0.5, 0.5, 0], [0, 0, 0, 0]],

@@ -1,8 +1,11 @@
 """Independent oracles used to freeze expected values, kept separate from the
 code paths they check."""
 
+import math
+
 import numpy as np
 
+from momentcrit.fock import ModeCutoffs, Monomial, StateVector
 from momentcrit.posmaps import PositiveMap, gell_mann_generators
 
 
@@ -128,3 +131,67 @@ def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return z @ z.conj().T
+
+
+# -- dense ladder operators on a zero-padded space ------------------------------
+
+
+def ladder_matrices(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated annihilation/creation matrices: a|n> = sqrt(n)|n-1>."""
+    a = np.zeros((cutoff, cutoff), dtype=complex)
+    for n in range(1, cutoff):
+        a[n - 1, n] = math.sqrt(n)
+    return a, a.conj().T
+
+
+def monomial_matrix(spec: Monomial, cutoffs: ModeCutoffs) -> np.ndarray:
+    """Dense matrix of the monomial on the truncated multi-mode space."""
+    out = np.eye(1, dtype=complex)
+    for (n, m), c in zip(spec.powers, cutoffs.cutoffs):
+        a, adag = ladder_matrices(c)
+        factor = np.linalg.matrix_power(adag, n) @ np.linalg.matrix_power(a, m)
+        out = np.kron(out, factor)
+    return out
+
+
+def pad_vector(amplitudes: np.ndarray, old: ModeCutoffs, new: ModeCutoffs) -> np.ndarray:
+    out = np.zeros(new.cutoffs, dtype=complex)
+    out[tuple(slice(0, c) for c in old.cutoffs)] = amplitudes.reshape(old.cutoffs)
+    return out.reshape(-1)
+
+
+def pad_matrix(matrix: np.ndarray, old: ModeCutoffs, new: ModeCutoffs) -> np.ndarray:
+    out = np.zeros(new.cutoffs + new.cutoffs, dtype=complex)
+    out[tuple(slice(0, c) for c in old.cutoffs + old.cutoffs)] = matrix.reshape(
+        old.cutoffs + old.cutoffs
+    )
+    d = new.total_dimension
+    return out.reshape(d, d)
+
+
+def dense_gram(state, ops) -> np.ndarray:
+    """<ops_i^dag ops_j> from dense operators on the state padded by the largest
+    creation plus the largest annihilation power per mode, where no product
+    reaches the truncation."""
+    old = state.cutoffs
+    new = ModeCutoffs(
+        tuple(
+            c + max(op.powers[q][0] for op in ops) + max(op.powers[q][1] for op in ops)
+            for q, c in enumerate(old.cutoffs)
+        ),
+        cap=10**9,
+    )
+    mats = [monomial_matrix(op, new) for op in ops]
+    if isinstance(state, StateVector):
+        phis = np.array([m @ pad_vector(state.amplitudes, old, new) for m in mats])
+        return phis.conj() @ phis.T
+    rho = pad_matrix(state.matrix, old, new)
+    right = [m @ rho for m in mats]
+    # Tr(F_i^dag F_j rho) = sum conj(F_i) * (F_j rho), entrywise
+    return np.array([[np.vdot(fi, fj_rho) for fj_rho in right] for fi in mats])
+
+
+def dense_moment(state, spec: Monomial) -> complex:
+    """<spec> as Tr(spec rho) on the padded space."""
+    one = Monomial.identity(spec.num_modes)
+    return complex(dense_gram(state, (one, spec))[0, 1])

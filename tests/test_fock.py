@@ -13,16 +13,14 @@ from momentcrit.fock import (
     Monomial,
     StateVector,
     coherent_truncation_deficit,
-    ladder_matrices,
     make_coherent_superposition,
     make_fock_state,
     mix,
-    monomial_matrix,
     required_coherent_cutoff,
     superpose,
 )
 from momentcrit.moments import moment
-from oracles import coherent_monomial_moment
+from oracles import coherent_monomial_moment, ladder_matrices, monomial_matrix
 
 
 def test_cutoffs_validation():

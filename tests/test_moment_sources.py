@@ -23,7 +23,7 @@ from momentcrit.criteria import (
     sv_cat_state_test,
 )
 from momentcrit.errors import MissingMomentError
-from momentcrit.fock import ModeCutoffs, Monomial, monomial_matrix
+from momentcrit.fock import ModeCutoffs, Monomial
 from momentcrit.moments import (
     GenericClass,
     OperatorClass,
@@ -35,6 +35,7 @@ from momentcrit.moments import (
 from momentcrit.posmaps import stormer_map
 from momentcrit.sampling import random_density
 from momentcrit import states
+from oracles import monomial_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -87,7 +88,7 @@ def test_normal_order_matches_dense_product(factor_powers):
     pads = tuple(
         sum(f.powers[q][0] + f.powers[q][1] for f in factors) for q in range(num_modes)
     )
-    working = base.padded(pads)
+    working = ModeCutoffs(tuple(c + p for c, p in zip(base.cutoffs, pads)), cap=10**9)
     product = np.eye(working.total_dimension, dtype=complex)
     for f in factors:
         product = product @ monomial_matrix(f, working)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from momentcrit.errors import DimensionError
 from momentcrit.fock import (
@@ -16,14 +20,17 @@ from momentcrit.moments import (
     build_generic_moment_matrix,
     build_moment_matrix,
     build_pt_moment_matrix,
+    _gram_moments,
     flatten_index,
     moment,
+    op_expectation,
     principal_submatrix,
     product_state_factorization,
 )
 from momentcrit.reorder import partial_transpose
 from momentcrit.sampling import random_density, random_product_pure, random_pure_state
 from momentcrit import states
+from oracles import dense_gram, dense_moment
 
 STD = OperatorClass.from_strings(["1", "a"], ["1", "b"])
 
@@ -218,3 +225,94 @@ def test_three_mode_class_support():
     m = build_moment_matrix(ghz, cls)
     assert m.size == 4
     assert np.linalg.eigvalsh(m.entries)[0] >= -1e-9
+
+
+_power = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def _shift_case(draw):
+    """A source, an op list with repeats, and the class (or None) that flattens to it."""
+    modes = draw(st.integers(1, 3))
+    cuts = ModeCutoffs(tuple(draw(st.integers(1, 6)) for _ in range(modes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["vector", "density", "pt_operator"]))
+    if kind == "vector":
+        source = random_pure_state(rng, cuts.cutoffs)
+    else:
+        rho = random_density(rng, cuts.cutoffs, rank=2)
+        source = rho if kind == "density" else HermitianOperator(
+            cuts, partial_transpose_fock(rho.matrix, cuts, (modes - 1,))
+        )
+    b_modes = tuple(range(1, modes))
+    if modes == 1 or draw(st.booleans()):
+        pool = draw(st.lists(st.tuples(*[_power] * modes), min_size=1, max_size=3))
+        rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+        ops = tuple(Monomial(p) for p in rows)
+        cls = None if modes == 1 else GenericClass(ops, (0,), b_modes)
+    else:
+        rest = ((0, 0),) * (modes - 1)
+        pool_a = draw(st.lists(_power, min_size=1, max_size=2))
+        pool_b = draw(st.lists(st.tuples(*[_power] * (modes - 1)), min_size=1, max_size=2))
+        side_a = draw(st.lists(st.sampled_from(pool_a), min_size=1, max_size=3))
+        side_b = draw(st.lists(st.sampled_from(pool_b), min_size=1, max_size=2))
+        cls = OperatorClass(
+            tuple(Monomial((p,) + rest) for p in side_a),
+            tuple(Monomial(((0, 0),) + p) for p in side_b),
+            (0,),
+            b_modes,
+        )
+        ops = cls.flat_ops()
+    padded = np.prod(
+        [c + max(op.powers[q][0] for op in ops) + max(op.powers[q][1] for op in ops)
+         for q, c in enumerate(cuts.cutoffs)]
+    )
+    assume(padded <= 400)  # keeps the dense oracle small
+    return source, ops, cls
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shift_case())
+def test_shift_engine_matches_padded_dense_oracle(case):
+    source, ops, cls = case
+    expected = dense_gram(source, ops)
+    if cls is None:
+        actual = _gram_moments(source, ops)
+    elif isinstance(cls, OperatorClass):
+        actual = build_moment_matrix(source, cls).entries
+    else:
+        actual = build_generic_moment_matrix(source, cls).entries
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(actual - expected)) <= bound
+    for op in set(ops):
+        assert abs(moment(source, op) - dense_moment(source, op)) <= bound
+    assert abs(op_expectation(source, (ops[0].dagger(), ops[-1])) - expected[0, -1]) <= bound
+
+
+C36 = OperatorClass.from_strings(
+    ["1", "a", "A", "Aa", "aa", "AA"], ["1", "b", "B", "Bb", "bb", "BB"]
+)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pure_build_at_the_input_cap_stays_small():
+    # 64 x 64 fills the 4096 input cap; 36 dense operators on the 68 x 68
+    # padded space would take 36 x 4624^2 x 16 B, about 12.3 GB.
+    state = random_pure_state(np.random.default_rng(0), (64, 64))
+    assert _traced_peak(lambda: build_moment_matrix(state, C36)) < 32 * 2**20
+
+
+def test_mixed_build_memory_is_linear_in_rows():
+    rho = random_density(np.random.default_rng(1), (16, 16), rank=2)
+    n, d_out = C36.d_a * C36.d_b, 18 * 18
+    peak = _traced_peak(lambda: build_moment_matrix(rho, C36))
+    # an n x n x D_out array alone would take 36/8 times this bound
+    assert peak < 8 * n * d_out * 16
