@@ -154,9 +154,23 @@ def _complex_from(pair) -> complex:
 
 
 def _complex_array(raw, ndim: int) -> np.ndarray:
-    """An ndim-deep nest of lists of numbers or [re, im] pairs as a complex array."""
+    """An ndim-deep nest of lists of numbers or [re, im] pairs as a complex array.
+
+    A regular nest of only numbers, or of only pairs, converts in one step; anything
+    else (strings, None, ragged rows, scalars mixed with pairs) goes element by element.
+    """
     if ndim == 0:
         return _complex_from(raw)
+    try:
+        arr = np.array(raw)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is not None and arr.dtype.kind in "iuf":
+        if arr.ndim == ndim:
+            return arr.astype(complex)
+        if arr.ndim == ndim + 1 and arr.shape[-1] == 2:
+            # re-pairs viewed as complex, so an infinite imaginary part stays imaginary
+            return np.ascontiguousarray(arr, float).view(complex)[..., 0]
     return np.array([_complex_array(x, ndim - 1) for x in raw], dtype=complex)
 
 
@@ -304,7 +318,9 @@ def _map_from(raw):
 
 def _state_ppt(state, dims=None, tol=None):
     """State-level tests on the density matrix; a moment table is reconstructed first."""
-    dims = dims if dims is not None else getattr(state, "dims", None)
+    # a table's per-mode dims are the bipartite [d_a, d_b] only when it has two modes
+    if dims is None and state.num_modes == 2:
+        dims = getattr(state, "dims", None)
     if dims is None:
         raise ConfigError("state_ppt needs 'dims' = [d_a, d_b]")
     dims = tuple(dims)

@@ -126,26 +126,44 @@ def sylvester_scan(
     if np.max(np.abs(m - m.conj().T)) > 1e-8:
         raise ValueError("sylvester_scan expects a Hermitian matrix")
     size = m.shape[0]
+    # blocks of (candidate positions, 0-based index rows), one block per minor size
     if r_list is None:
-        count = sum(math.comb(size, k) for k in range(1, min(max_minor_size, size) + 1))
+        sizes = range(1, min(max_minor_size, size) + 1)
+        count = sum(math.comb(size, k) for k in sizes)
         if count > MINOR_SCAN_BUDGET:
             raise ValueError(
                 f"a scan of {size} rows up to size {max_minor_size} has {count} minors, "
                 f"above the budget of {MINOR_SCAN_BUDGET}; pass r_list or lower max_minor_size"
             )
-        candidates = [
-            r
-            for k in range(1, min(max_minor_size, size) + 1)
-            for r in itertools.combinations(range(1, size + 1), k)
+        rows = [
+            np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(size), k)),
+                        np.intp).reshape(-1, k)
+            for k in sizes
         ]
+        starts = np.cumsum([0] + [len(idx) for idx in rows])
+        blocks = [(np.arange(a, b), idx) for a, b, idx in zip(starts, starts[1:], rows)]
     else:
         candidates = [tuple(int(x) for x in r) for r in r_list]
-    worst_det = np.inf
+        for r in candidates:
+            principal_submatrix(m, r)  # IndexError on a malformed entry
+        count = len(candidates)
+        by_size: dict[int, list[int]] = {}
+        for pos, r in enumerate(candidates):
+            by_size.setdefault(len(r), []).append(pos)
+        blocks = [(np.array(pos), np.array([candidates[p] for p in pos], np.intp) - 1)
+                  for pos in by_size.values()]
+    dets = np.empty(count)
+    for pos, idx in blocks:
+        dets[pos] = np.linalg.det(m[idx[:, :, None], idx[:, None, :]]).real
+    # the first strict minimum in candidate order; NaN and +inf never qualify
+    masked = np.where(dets < np.inf, dets, np.inf)
+    j = int(np.argmin(masked)) if count else 0
+    worst_det: float = np.inf
     worst_r: tuple[int, ...] | None = None
-    for r in candidates:
-        det = float(np.linalg.det(principal_submatrix(m, r)).real)
-        if det < worst_det:
-            worst_det, worst_r = det, r
+    if count and masked[j] < np.inf:
+        pos, idx = next((pos, idx) for pos, idx in blocks if j in pos)
+        worst_det = float(dets[j])
+        worst_r = tuple(int(x) + 1 for x in idx[np.searchsorted(pos, j)])
     outcome, boundary = _negativity_outcome(worst_det, tol)
     return Verdict(
         criterion=criterion,

@@ -21,6 +21,8 @@ from .errors import DegenerateStateError, DimensionError, InsufficientCutoffErro
 
 #: Default upper bound on the total dense dimension accepted at construction.
 DENSE_DIMENSION_CAP = 4096
+#: Largest rows x output kets (n * D_out) one moment build may hold, about 50 B each.
+MOMENT_WORKING_CAP = 1 << 21
 
 _MODE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InconsistentMomentsError, MissingMomentError
-from .fock import Monomial, State, StateVector
+from .fock import MOMENT_WORKING_CAP, Monomial, State, StateVector
 
 _HERMITICITY_TOL = 1e-10
 
@@ -339,8 +339,15 @@ def shift_tables(
     where no ket of the state's space maps to x.  A weight is the product of
     sqrt(j + s) over the steps from the intermediate occupation j = x - n up
     to x and up to the source j + m: no factorial or lgamma is formed, so a
-    weight is a few roundings from exact at any occupation.
+    weight is a few roundings from exact at any occupation.  Classes whose
+    n * D_out exceeds ``MOMENT_WORKING_CAP`` are refused before any allocation.
     """
+    d_out = math.prod(c + max(op.powers[q][0] for op in ops) for q, c in enumerate(cutoffs))
+    if len(ops) * d_out > MOMENT_WORKING_CAP:
+        raise DimensionError(
+            f"{len(ops)} rows on {d_out} output kets need {len(ops) * d_out} table entries, "
+            f"above the working budget of {MOMENT_WORKING_CAP}"
+        )
     src = np.zeros((len(ops), 1), dtype=np.intp)
     weight = np.ones((len(ops), 1))
     for q, cutoff in enumerate(cutoffs):

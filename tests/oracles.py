@@ -1,11 +1,14 @@
 """Independent oracles used to freeze expected values, kept separate from the
-code paths they check."""
+code paths they check, and a traced-allocation probe."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
 from momentcrit.fock import ModeCutoffs, Monomial, StateVector
+from momentcrit.moments import principal_submatrix
 from momentcrit.posmaps import PositiveMap, gell_mann_generators
 
 
@@ -195,3 +198,38 @@ def dense_moment(state, spec: Monomial) -> complex:
     """<spec> as Tr(spec rho) on the padded space."""
     one = Monomial.identity(spec.num_modes)
     return complex(dense_gram(state, (one, spec))[0, 1])
+
+
+def loop_sylvester_scan(
+    m: np.ndarray, max_minor_size: int = 4, r_list=None
+) -> tuple[float, tuple[int, ...] | None]:
+    """(smallest principal minor, its 1-based rows): one det per minor, in candidate order.
+
+    The first strict minimum wins, so a NaN or +inf determinant is never chosen.
+    """
+    size = m.shape[0]
+    if r_list is None:
+        candidates = [
+            r
+            for k in range(1, min(max_minor_size, size) + 1)
+            for r in itertools.combinations(range(1, size + 1), k)
+        ]
+    else:
+        candidates = [tuple(int(x) for x in r) for r in r_list]
+    worst_det = np.inf
+    worst_r = None
+    for r in candidates:
+        det = float(np.linalg.det(principal_submatrix(m, r)).real)
+        if det < worst_det:
+            worst_det, worst_r = det, r
+    return worst_det, worst_r
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,13 +1,17 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentcrit.cli import RunConfig, analyze_state
 from momentcrit.criteria import (
     MINOR_SCAN_BUDGET,
+    TOL_EXACT,
     Outcome,
     breuer_bell_test,
     breuer_inequality_test,
@@ -26,7 +30,12 @@ from momentcrit.criteria import (
 )
 from momentcrit.errors import DimensionError
 from momentcrit.fock import make_fock_state, superpose
-from momentcrit.moments import GenericClass, OperatorClass, build_moment_matrix
+from momentcrit.moments import (
+    GenericClass,
+    OperatorClass,
+    build_moment_matrix,
+    principal_submatrix,
+)
 from momentcrit.posmaps import BreuerParams, breuer_antidiagonal_unitary, breuer_map
 from momentcrit.regression import fixtures
 from momentcrit.sampling import (
@@ -36,6 +45,7 @@ from momentcrit.sampling import (
     random_separable_mixture,
 )
 from momentcrit import states
+from oracles import loop_sylvester_scan, traced_peak
 
 BATTERY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "separable_battery.json"
 STD = OperatorClass.from_strings(["1", "a"], ["1", "b"])
@@ -206,8 +216,52 @@ def test_mode_preconditions_fail_fast():
 
 
 def test_sylvester_scan_budget():
-    with pytest.raises(ValueError, match="budget"):
-        sylvester_scan(np.eye(36), max_minor_size=20)
+    def over_budget():
+        with pytest.raises(ValueError, match="budget"):
+            sylvester_scan(np.eye(36), max_minor_size=20)
+
+    # refused before any index array exists
+    assert traced_peak(over_budget) < 2**20
     assert sylvester_scan(np.eye(16), max_minor_size=4).outcome is Outcome.INCONCLUSIVE
-    # 36 rows at size 4 (66 711 minors) stay inside the budget
+    # 36 rows at size 4 (66 711 minors) stay inside the budget, in bounded memory and time
     assert sum(math.comb(36, k) for k in range(1, 5)) <= MINOR_SCAN_BUDGET
+    assert traced_peak(lambda: sylvester_scan(np.eye(36), max_minor_size=4)) < 64 * 2**20
+    start = time.perf_counter()
+    assert sylvester_scan(np.eye(36), max_minor_size=4).witness["min_principal_minor"] == 1.0
+    assert time.perf_counter() - start < 1.0  # one det per minor in Python takes about 1.5 s
+
+
+# few distinct values, so ties (and 0.0 beside -0.0) are common; NaN is allowed
+_entry = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.nan]),
+    st.floats(-3, 3, allow_nan=False),
+)
+
+
+@st.composite
+def _scan_case(draw):
+    size = draw(st.integers(1, 8))
+    m = np.zeros((size, size), dtype=complex)
+    for i in range(size):
+        m[i, i] = complex(draw(_entry), 0.0)
+        for j in range(i + 1, size):
+            m[i, j] = complex(draw(_entry), draw(_entry))
+            m[j, i] = m[i, j].conjugate()
+    if draw(st.booleans()):
+        return m, draw(st.integers(1, size)), None
+    subset = st.sets(st.integers(1, size), min_size=1).map(lambda r: tuple(sorted(r)))
+    return m, 4, draw(st.lists(subset, max_size=12))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # det of minors with NaN entries
+@settings(max_examples=200, deadline=None)
+@given(_scan_case())
+def test_sylvester_scan_equals_the_per_minor_loop(case):
+    m, max_minor_size, r_list = case
+    v = sylvester_scan(m, max_minor_size=max_minor_size, r_list=r_list)
+    det, r = loop_sylvester_scan(m, max_minor_size, r_list)
+    assert repr(v.witness["min_principal_minor"]) == repr(det)  # bitwise, sign of zero too
+    assert v.witness["r"] == r
+    sub = principal_submatrix(m, r) if r else m
+    assert v.witness["submatrix"].tobytes() == sub.tobytes()
+    assert v.outcome is (Outcome.ENTANGLED if det < -TOL_EXACT else Outcome.INCONCLUSIVE)

@@ -1,12 +1,12 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from momentcrit.cli import RunConfig, analyze_state
 from momentcrit.errors import DimensionError
 from momentcrit.fock import (
+    MOMENT_WORKING_CAP,
     HermitianOperator,
     ModeCutoffs,
     Monomial,
@@ -30,7 +30,7 @@ from momentcrit.moments import (
 from momentcrit.reorder import partial_transpose
 from momentcrit.sampling import random_density, random_product_pure, random_pure_state
 from momentcrit import states
-from oracles import dense_gram, dense_moment
+from oracles import dense_gram, dense_moment, traced_peak
 
 STD = OperatorClass.from_strings(["1", "a"], ["1", "b"])
 
@@ -294,25 +294,36 @@ C36 = OperatorClass.from_strings(
 )
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_pure_build_at_the_input_cap_stays_small():
     # 64 x 64 fills the 4096 input cap; 36 dense operators on the 68 x 68
     # padded space would take 36 x 4624^2 x 16 B, about 12.3 GB.
     state = random_pure_state(np.random.default_rng(0), (64, 64))
-    assert _traced_peak(lambda: build_moment_matrix(state, C36)) < 32 * 2**20
+    assert traced_peak(lambda: build_moment_matrix(state, C36)) < 32 * 2**20
 
 
 def test_mixed_build_memory_is_linear_in_rows():
     rho = random_density(np.random.default_rng(1), (16, 16), rank=2)
     n, d_out = C36.d_a * C36.d_b, 18 * 18
-    peak = _traced_peak(lambda: build_moment_matrix(rho, C36))
+    peak = traced_peak(lambda: build_moment_matrix(rho, C36))
     # an n x n x D_out array alone would take 36/8 times this bound
     assert peak < 8 * n * d_out * 16
+
+
+def test_moment_build_refuses_classes_above_the_working_budget():
+    state = random_pure_state(np.random.default_rng(0), (64, 64))
+    # 400 rows up to (a^dag)^19 (b^dag)^19: 400 x 83^2 table entries
+    side_a = ["1"] + ["A" * k for k in range(1, 20)]
+    side_b = [s.replace("A", "B") for s in side_a]
+    big = OperatorClass.from_strings(side_a, side_b)
+
+    def refused():
+        with pytest.raises(DimensionError, match="working budget"):
+            build_moment_matrix(state, big)
+
+    assert traced_peak(refused) < 2**20
+    # the C36 build at the input cap (36 rows on 66 x 66 output kets) stays allowed
+    assert 36 * 66 * 66 <= MOMENT_WORKING_CAP
+    cfg = RunConfig.from_dict({"state": {"library": "singlet"}, "criteria": [
+        {"name": "pt_min_eig", "class": {"side_a": side_a, "side_b": side_b}}]})
+    record = analyze_state(state, cfg.criteria)["verdicts"][0]
+    assert record["outcome"] == "ERROR" and record["error"].startswith("DimensionError")

@@ -9,13 +9,16 @@ from momentcrit.cli import (
     EXIT_ENTANGLED,
     EXIT_ERRORS,
     EXIT_OK,
+    ConfigError,
     RunConfig,
+    _complex_array,
+    _state_ppt,
     main,
     run,
 )
 from momentcrit.criteria import pt_sylvester_test
 from momentcrit.fock import Monomial
-from momentcrit.moments import OperatorClass, moment
+from momentcrit.moments import OperatorClass, TableSource, moment
 from momentcrit import states
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -317,3 +320,40 @@ def test_cli_density_input(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     outcomes = {v["criterion"]: v["outcome"] for v in payload["verdicts"]}
     assert outcomes["state_pt_min_eig"] == "SEPARABLE"
+
+
+def _per_element(raw):
+    """The element-by-element reading of a density: numbers and [re, im] pairs."""
+    return np.array([[complex(*z) if isinstance(z, list) else complex(z) for z in row]
+                     for row in raw])
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [[[1.5, -0.0], [0, 2]], [[-1, float("inf")], [0.25, -3e-300]]],  # pairs
+        [[1, -0.0], [2.5, float("inf")]],  # plain numbers
+        [[1, [0.0, -2.0]], [[0.5, 1], True]],  # numbers mixed with pairs
+    ],
+)
+def test_density_ingest_matches_the_per_element_reading(raw):
+    out = _complex_array(json.loads(json.dumps(raw)), 2)
+    assert out.tobytes() == _per_element(raw).tobytes()
+
+
+@pytest.mark.parametrize(
+    "density",
+    [[["1", 0], [0, 0]], [[None, 0], [0, 1]], [[[1, 0], [0, 0]], [[0, 0]]], [[1, 0], [0]]],
+    ids=["string", "null", "ragged-pairs", "ragged-numbers"],
+)
+def test_cli_bad_density_entries_exit_2(tmp_path, capsys, density):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"state": {"density": density, "cutoffs": [2]}, "criteria": []}))
+    assert main(["analyze", str(path)]) == EXIT_CONFIG
+    assert "state.density" in capsys.readouterr().err
+
+
+def test_state_ppt_reads_table_dims_only_for_two_modes():
+    table = TableSource({Monomial.identity(3): 1.0}, 3, dims=(2, 2, 2))
+    with pytest.raises(ConfigError, match=r"state_ppt needs 'dims' = \[d_a, d_b\]"):
+        _state_ppt(table)
