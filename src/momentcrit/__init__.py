@@ -10,7 +10,6 @@ from .errors import (
 )
 from .fock import (
     DensityMatrix,
-    HermitianOperator,
     ModeCutoffs,
     Monomial,
     StateVector,
@@ -26,14 +25,12 @@ from .moments import (
     TableSource,
     build_generic_moment_matrix,
     build_moment_matrix,
-    build_pt_moment_matrix,
-    flatten_index,
     moment,
     op_expectation,
     principal_submatrix,
 )
 from .reorder import (
-    RealignedMatrix,
+    build_pt_moment_matrix,
     nu_gamma,
     nu_realign,
     partial_transpose,

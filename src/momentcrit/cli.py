@@ -12,8 +12,8 @@ and values against it and prepares each call before any state is built; it
 also refuses unknown top-level keys and a state object that mixes kinds or
 carries a key its kind does not take (``_STATE_KINDS``).
 ``analyze_state`` runs the prepared calls on a state or moment table.  Checks
-that need the state (modes, map dimension, side) stay with the criterion and
-end as ERROR records.
+that need the state (modes, map dimension) stay with the criterion and end as
+ERROR records.
 
 Exit codes: 0 = ran, nothing detected; 3 = ran, at least one ENTANGLED verdict
 (takes precedence); 4 = ran, at least one ERROR record and no ENTANGLED
@@ -45,6 +45,7 @@ from .criteria import (
     pt_norm_test,
     pt_sylvester_test,
     realign_norm_test,
+    resolve_tol,
     sv_cat_state_test,
 )
 from .fock import DensityMatrix, ModeCutoffs, Monomial, StateVector
@@ -116,7 +117,7 @@ class RunConfig:
             criteria=[_criterion_spec(idx, entry) for idx, entry in enumerate(criteria)],
             cutoff=None if cutoff is None else _parse("cutoff", index, cutoff),
             epsilon=_parse("epsilon", float, raw.get("epsilon", 1e-10)),
-            tol=None if tol is None else _parse("tol", float, tol),
+            tol=None if tol is None else _parse("tol", partial(resolve_tol, None), tol),
             output_format=fmt,
         )
 
@@ -275,6 +276,26 @@ def _ints(raw) -> tuple[int, ...]:
     return tuple(index(x) for x in raw)  # index() refuses floats and strings
 
 
+def _side(raw) -> str:
+    if raw not in ("A", "B"):
+        raise ValueError(f"expected 'A' or 'B', got {raw!r}")
+    return raw
+
+
+def _positive(raw) -> int:
+    n = index(raw)
+    if n < 1:
+        raise ValueError(f"expected an integer >= 1, got {n}")
+    return n
+
+
+def _r_list(raw) -> list[tuple[int, ...]]:
+    r_list = [_ints(r) for r in raw]
+    if not r_list:
+        raise ValueError("expected a nonempty list of index lists")
+    return r_list
+
+
 def _modes(cls: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return _ints(cls.get("modes_a", [0])), _ints(cls.get("modes_b", [1]))
 
@@ -357,7 +378,7 @@ CRITERIA = {
                             lambda p: partial(pt_min_eig_test, cls=p.get("class", _STD))),
     "pt_sylvester": Criterion(
         "negative principal minor of the PT moment matrix",
-        {**_CLASS, "r": _ints, "r_list": lambda rs: [_ints(r) for r in rs], "max_minor_size": index},
+        {**_CLASS, "r": _ints, "r_list": _r_list, "max_minor_size": _positive},
         lambda p: partial(pt_sylvester_test, cls=p.get("class", _STD),
                           r_list=[p["r"]] if p.get("r") else p.get("r_list"),
                           max_minor_size=p.get("max_minor_size", 4))),
@@ -365,7 +386,7 @@ CRITERIA = {
                                 {"class": _generic_class, "r": _ints},
                                 lambda p: partial(generic_pt_det_test, cls=p["class"], r=p.get("r"))),
     "map": Criterion("positive map applied to one side of the moment matrix",
-                     {**_CLASS, "map": _map_from, "side": str, "r": _ints},
+                     {**_CLASS, "map": _map_from, "side": _side, "r": _ints},
                      lambda p: partial(map_test, cls=p.get("class", _STD), pmap=p["map"],
                                        side=p.get("side", "A"), r=p.get("r"))),
     "hz_two_mode": Criterion("two-mode number-correlation inequality", _MODES,
@@ -538,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.epsilon is not None:
             config.epsilon = args.epsilon
         if args.tol is not None:
-            config.tol = args.tol
+            config.tol = _parse("--tol", partial(resolve_tol, None), args.tol)
         if args.format is not None:
             config.output_format = args.format
     except (ConfigError, OSError) as exc:

@@ -28,7 +28,6 @@ from .moments import (
     OperatorClass,
     build_generic_moment_matrix,
     build_moment_matrix,
-    build_pt_moment_matrix,
     op_expectation,
     principal_submatrix,
 )
@@ -39,7 +38,7 @@ from .posmaps import (
     breuer_antidiagonal_unitary,
     breuer_map,
 )
-from .reorder import nu_gamma, nu_realign
+from .reorder import build_pt_moment_matrix, nu_gamma, nu_realign
 
 TOL_EXACT = 1e-9
 TOL_COHERENT = 1e-6
@@ -71,8 +70,16 @@ class Verdict:
 
 
 def resolve_tol(state: State | None, tol: float | None) -> float:
+    """The verdict tolerance: ``tol`` itself, else the default for the state.
+
+    A negative or non-finite ``tol`` raises ValueError: it would turn boundary
+    values into ENTANGLED verdicts, or every verdict into INCONCLUSIVE.
+    """
     if tol is not None:
-        return float(tol)
+        tol = float(tol)
+        if not math.isfinite(tol) or tol < 0:
+            raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+        return tol
     if state is not None and not getattr(state, "exact", True):
         return TOL_COHERENT
     return TOL_EXACT
@@ -216,38 +223,32 @@ def pt_sylvester_test(
     )
 
 
-def pt_norm_test(state: State, cls: OperatorClass, tol: float | None = None) -> Verdict:
-    """ENTANGLED iff the normalized PT trace norm exceeds 1 + tol."""
+def _norm_test(
+    criterion: str, key: str, norm, state: State, cls: OperatorClass, tol: float | None
+) -> Verdict:
+    """ENTANGLED iff norm(M), a normalized trace norm of the one build M, exceeds 1 + tol."""
     tol = resolve_tol(state, tol)
     m = build_moment_matrix(state, cls)
-    value = nu_gamma(state, cls)
-    entangled = value > 1.0 + tol
+    value = norm(m)
     return Verdict(
-        criterion="pt_norm",
-        outcome=Outcome.ENTANGLED if entangled else Outcome.INCONCLUSIVE,
-        witness={"nu_gamma": value, "moment_matrix": m.entries},
+        criterion=criterion,
+        outcome=Outcome.ENTANGLED if value > 1.0 + tol else Outcome.INCONCLUSIVE,
+        witness={key: value, "moment_matrix": m.entries},
         threshold=1.0,
         tol=tol,
         boundary=abs(value - 1.0) <= tol,
         provenance={"class": cls.describe(), "state": getattr(state, "label", "state")},
     )
+
+
+def pt_norm_test(state: State, cls: OperatorClass, tol: float | None = None) -> Verdict:
+    """ENTANGLED iff the normalized PT trace norm exceeds 1 + tol."""
+    return _norm_test("pt_norm", "nu_gamma", nu_gamma, state, cls, tol)
 
 
 def realign_norm_test(state: State, cls: OperatorClass, tol: float | None = None) -> Verdict:
     """ENTANGLED iff the normalized realignment trace norm exceeds 1 + tol."""
-    tol = resolve_tol(state, tol)
-    m = build_moment_matrix(state, cls)
-    value = nu_realign(state, cls)
-    entangled = value > 1.0 + tol
-    return Verdict(
-        criterion="realign_norm",
-        outcome=Outcome.ENTANGLED if entangled else Outcome.INCONCLUSIVE,
-        witness={"nu_realign": value, "moment_matrix": m.entries},
-        threshold=1.0,
-        tol=tol,
-        boundary=abs(value - 1.0) <= tol,
-        provenance={"class": cls.describe(), "state": getattr(state, "label", "state")},
-    )
+    return _norm_test("realign_norm", "nu_realign", nu_realign, state, cls, tol)
 
 
 def generic_pt_det_test(

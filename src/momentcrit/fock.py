@@ -119,12 +119,6 @@ class Monomial:
         """Hermitian adjoint; again normally ordered with (n, m) swapped."""
         return Monomial(tuple((m, n) for n, m in self.powers))
 
-    def conjugated_on(self, modes: tuple[int, ...]) -> "Monomial":
-        """Swap creation/annihilation powers on the listed modes (transpose there)."""
-        return Monomial(
-            tuple((m, n) if q in modes else (n, m) for q, (n, m) in enumerate(self.powers))
-        )
-
     def restricted_to(self, modes: tuple[int, ...]) -> "Monomial":
         return Monomial(
             tuple((n, m) if q in modes else (0, 0) for q, (n, m) in enumerate(self.powers))
@@ -218,36 +212,7 @@ class DensityMatrix:
         return self.cutoffs.num_modes
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Hermitian operator on the truncated space; no positivity or trace demand.
-
-    Used where moments of a non-state operator are needed, e.g. the partial
-    transpose of a density matrix.
-    """
-
-    cutoffs: ModeCutoffs
-    matrix: np.ndarray
-    label: str = "operator"
-    exact: bool = True
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = self.cutoffs.total_dimension
-        if mat.shape != (d, d):
-            raise DimensionError(f"matrix shape {mat.shape} does not match dimension {d}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
-            raise ValueError("operator is not Hermitian within 1e-10")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def num_modes(self) -> int:
-        return self.cutoffs.num_modes
-
-
-State = StateVector | DensityMatrix | HermitianOperator
+State = StateVector | DensityMatrix
 
 
 def make_fock_state(
@@ -392,18 +357,3 @@ def mix(terms: list[tuple[float, StateVector | DensityMatrix]], label: str = "mi
         mat += (w / total) * rho
         exact = exact and state.exact
     return DensityMatrix(cutoffs, mat, label=label, exact=exact)
-
-
-def partial_transpose_fock(
-    matrix: np.ndarray, cutoffs: ModeCutoffs, modes: tuple[int, ...]
-) -> np.ndarray:
-    """Partial transpose of an operator in the Fock basis over the given modes."""
-    m = cutoffs.num_modes
-    if any(q < 0 or q >= m for q in modes):
-        raise DimensionError("partial-transpose modes out of range")
-    tensor = matrix.reshape(cutoffs.cutoffs + cutoffs.cutoffs)
-    axes = list(range(2 * m))
-    for q in modes:
-        axes[q], axes[m + q] = axes[m + q], axes[q]
-    d = cutoffs.total_dimension
-    return tensor.transpose(axes).reshape(d, d)

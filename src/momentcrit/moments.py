@@ -208,15 +208,6 @@ class MomentMatrix:
         return float(np.trace(self.entries).real)
 
 
-def flatten_index(k: int, l: int, d_a: int, d_b: int | None = None) -> int:
-    """1-based flat index i = (l-1)*d_A + k of the side pair (k, l)."""
-    if not 1 <= k <= d_a:
-        raise IndexError(f"side-A index {k} out of range 1..{d_a}")
-    if l < 1 or (d_b is not None and l > d_b):
-        raise IndexError(f"side-B index {l} out of range")
-    return (l - 1) * d_a + k
-
-
 class TableSource:
     """Moment source backed by an explicit table {Monomial: value}.
 
@@ -398,26 +389,6 @@ def build_moment_matrix(state: State | TableSource, cls: OperatorClass) -> Momen
     )
 
 
-def build_pt_moment_matrix(state: State | TableSource, cls: OperatorClass) -> MomentMatrix:
-    """Moment matrix of the partially transposed state, by index swap.
-
-    Entries obey out[(k,l),(k',l')] = M[(k,l'),(k',l)], the exchange of the
-    B-side column indices; no explicit state-level partial transpose is
-    performed.  This coincides with transposing the slow (B) factor of the
-    moment matrix of the state itself.
-    """
-    base = build_moment_matrix(state, cls)
-    d_a, d_b = cls.d_a, cls.d_b
-    four = base.entries.reshape(d_b, d_a, d_b, d_a)
-    swapped = four.transpose(2, 1, 0, 3).reshape(base.size, base.size)
-    return MomentMatrix(
-        swapped,
-        d_a,
-        d_b,
-        provenance={**base.provenance, "transformed": "pt_state"},
-    )
-
-
 def build_generic_moment_matrix(
     state: State | TableSource, cls: GenericClass, conjugate_b_modes: bool = False
 ) -> MomentMatrix:
@@ -467,22 +438,3 @@ def principal_submatrix(
         raise IndexError(f"indices {r} must be strictly increasing")
     idx = [x - 1 for x in r]
     return m[np.ix_(idx, idx)]
-
-
-def _project_side(ops: tuple[Monomial, ...], modes: tuple[int, ...]) -> tuple[Monomial, ...]:
-    """Rewrite side monomials as monomials on the side's own modes only."""
-    return tuple(Monomial(tuple(op.powers[q] for q in modes)) for op in ops)
-
-
-def product_state_factorization(
-    state_a: State, state_b: State, cls: OperatorClass
-) -> np.ndarray:
-    """Reference kron factorization M^B (x) M^A for a product state rho_A (x) rho_B.
-
-    With the A-fastest flattening, M[(l,k),(l',k')] = M^A_{kk'} M^B_{ll'}
-    becomes the Kronecker product with the B factor on the slow side.
-    The factor states live on the side modes alone.
-    """
-    ma = _gram_moments(state_a, _project_side(cls.side_a, cls.modes_a))
-    mb = _gram_moments(state_b, _project_side(cls.side_b, cls.modes_b))
-    return np.kron(mb, ma)

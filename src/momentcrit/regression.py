@@ -204,7 +204,7 @@ def fixtures() -> list[Fixture]:
                 _outcome(s_realign), ENT),
         Fixture("singlet.realign_trace_norm",
                 "unnormalized realignment trace norm (trace of the moment matrix is 2)",
-                lambda: trace_norm(realign(build_moment_matrix(singlet(), std)).entries),
+                lambda: trace_norm(realign(build_moment_matrix(singlet(), std))),
                 1.0 + SQ2, 1e-9),
         Fixture("singlet.sylvester_r14_minor", "principal minor (1,4) of the PT moment matrix",
                 _witness(s_r14, "min_principal_minor"), -0.25, 1e-12),
@@ -409,8 +409,8 @@ def norm_ordering_records(extra_random: int = 20, seed: int = 7) -> list[dict]:
     records = []
     for state in battery:
         for cls in classes:
-            g = nu_gamma(state, cls)
-            r = nu_realign(state, cls)
+            m = build_moment_matrix(state, cls)
+            g, r = nu_gamma(m), nu_realign(m)
             records.append(
                 {
                     "state": getattr(state, "label", "state"),

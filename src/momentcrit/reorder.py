@@ -5,6 +5,9 @@ varying fastest: flat = slow * d_fast + fast.  Moment matrices put the A side
 on the fast factor (d_fast = d_A, d_slow = d_B); density matrices in the
 Fock basis put mode A on the slow factor.  The same two kernels below serve
 both call sites.
+
+Functions of a moment matrix take the built ``MomentMatrix``, so a criterion
+builds M once; only ``build_pt_moment_matrix`` builds.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import dataclasses
 import numpy as np
 
 from .errors import DegenerateStateError, DimensionError
-from .moments import MomentMatrix, OperatorClass, build_moment_matrix
+from .moments import MomentMatrix, OperatorClass, TableSource, build_moment_matrix
 from .fock import State
 
 
@@ -59,21 +62,6 @@ def trace_norm(matrix: np.ndarray, rel_floor: float = 1e-13) -> float:
     return float(np.sum(s[s > rel_floor * s[0]]))
 
 
-@dataclasses.dataclass(frozen=True)
-class RealignedMatrix:
-    """Realigned moment matrix; generally non-Hermitian and non-square.
-
-    Rows pair the slow (B) side indices, columns the fast (A) side, matching
-    the worked 4x4 realignment pattern this package reproduces.  The trace
-    norm is invariant under the transposed pairing.
-    """
-
-    entries: np.ndarray
-    d_a: int
-    d_b: int
-    provenance: dict = dataclasses.field(default_factory=dict)
-
-
 def partial_transpose(m: MomentMatrix, side: str = "A") -> MomentMatrix:
     """Partial transposition of a moment matrix.
 
@@ -94,14 +82,23 @@ def partial_transpose(m: MomentMatrix, side: str = "A") -> MomentMatrix:
     )
 
 
-def realign(m: MomentMatrix) -> RealignedMatrix:
-    """Realigned moment matrix with rows (l, l') and columns (k, k')."""
-    return RealignedMatrix(
-        realign_blocks(m.entries, m.d_b, m.d_a),
-        d_a=m.d_a,
-        d_b=m.d_b,
-        provenance={**m.provenance, "transformed": "realign"},
-    )
+def realign(m: MomentMatrix) -> np.ndarray:
+    """Realigned moment matrix, rows (l, l') and columns (k, k'); generally not square.
+
+    This pairing matches the worked 4x4 realignment pattern; the trace norm is
+    invariant under the transposed one.
+    """
+    return realign_blocks(m.entries, m.d_b, m.d_a)
+
+
+def build_pt_moment_matrix(state: State | TableSource, cls: OperatorClass) -> MomentMatrix:
+    """Moment matrix of the partially transposed state, by index swap.
+
+    Entries obey out[(k,l),(k',l')] = M[(k,l'),(k',l)], the exchange of the
+    B-side indices of the state's own moment matrix; no explicit state-level
+    partial transpose is performed.
+    """
+    return partial_transpose(build_moment_matrix(state, cls), "B")
 
 
 def _normalizer(m: MomentMatrix) -> float:
@@ -111,16 +108,14 @@ def _normalizer(m: MomentMatrix) -> float:
     return tr
 
 
-def nu_gamma(state: State, cls: OperatorClass, side: str = "A") -> float:
+def nu_gamma(m: MomentMatrix) -> float:
     """Normalized trace norm of the partially transposed moment matrix.
 
     Values above 1 witness entanglement; both sides give the same number.
     """
-    m = build_moment_matrix(state, cls)
-    return trace_norm(partial_transpose(m, side).entries) / _normalizer(m)
+    return trace_norm(partial_transpose(m).entries) / _normalizer(m)
 
 
-def nu_realign(state: State, cls: OperatorClass) -> float:
+def nu_realign(m: MomentMatrix) -> float:
     """Normalized trace norm of the realigned moment matrix."""
-    m = build_moment_matrix(state, cls)
-    return trace_norm(realign(m).entries) / _normalizer(m)
+    return trace_norm(realign(m)) / _normalizer(m)

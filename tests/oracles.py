@@ -1,14 +1,17 @@
 """Independent oracles used to freeze expected values, kept separate from the
-code paths they check, and a traced-allocation probe."""
+code paths they check, helpers that only tests use, and a traced-allocation
+probe."""
 
 import itertools
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 
+from momentcrit.errors import DimensionError
 from momentcrit.fock import ModeCutoffs, Monomial, StateVector
-from momentcrit.moments import principal_submatrix
+from momentcrit.moments import OperatorClass, _gram_moments, principal_submatrix
 from momentcrit.posmaps import PositiveMap, gell_mann_generators
 
 
@@ -36,6 +39,90 @@ def coherent_monomial_moment(coeffs, alpha_sets, powers) -> complex:
             num += np.conj(cs) * ct * full
             den += np.conj(cs) * ct * overlap
     return num / den
+
+
+# -- operators, indices and factorizations only the tests need -------------------
+
+
+@dataclass(frozen=True)
+class HermitianOperator:
+    """Hermitian operator on the truncated space; no positivity or trace demand.
+
+    Used where moments of a non-state operator are needed, e.g. the partial
+    transpose of a density matrix; the moment engine reads it as it reads a
+    density matrix.
+    """
+
+    cutoffs: ModeCutoffs
+    matrix: np.ndarray
+    label: str = "operator"
+    exact: bool = True
+
+    def __post_init__(self):
+        mat = np.asarray(self.matrix, dtype=complex)
+        d = self.cutoffs.total_dimension
+        if mat.shape != (d, d):
+            raise DimensionError(f"matrix shape {mat.shape} does not match dimension {d}")
+        if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
+            raise ValueError("operator is not Hermitian within 1e-10")
+        mat = mat.copy()
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
+
+    @property
+    def num_modes(self) -> int:
+        return self.cutoffs.num_modes
+
+
+def partial_transpose_fock(
+    matrix: np.ndarray, cutoffs: ModeCutoffs, modes: tuple[int, ...]
+) -> np.ndarray:
+    """Partial transpose of an operator in the Fock basis over the given modes."""
+    m = cutoffs.num_modes
+    if any(q < 0 or q >= m for q in modes):
+        raise DimensionError("partial-transpose modes out of range")
+    tensor = matrix.reshape(cutoffs.cutoffs + cutoffs.cutoffs)
+    axes = list(range(2 * m))
+    for q in modes:
+        axes[q], axes[m + q] = axes[m + q], axes[q]
+    d = cutoffs.total_dimension
+    return tensor.transpose(axes).reshape(d, d)
+
+
+def conjugated_on(op: Monomial, modes: tuple[int, ...]) -> Monomial:
+    """Swap creation/annihilation powers on the listed modes (transpose there)."""
+    return Monomial(
+        tuple((m, n) if q in modes else (n, m) for q, (n, m) in enumerate(op.powers))
+    )
+
+
+def flatten_index(k: int, l: int, d_a: int, d_b: int | None = None) -> int:
+    """1-based flat index i = (l-1)*d_A + k of the side pair (k, l)."""
+    if not 1 <= k <= d_a:
+        raise IndexError(f"side-A index {k} out of range 1..{d_a}")
+    if l < 1 or (d_b is not None and l > d_b):
+        raise IndexError(f"side-B index {l} out of range")
+    return (l - 1) * d_a + k
+
+
+def _project_side(ops: tuple[Monomial, ...], modes: tuple[int, ...]) -> tuple[Monomial, ...]:
+    """Rewrite side monomials as monomials on the side's own modes only."""
+    return tuple(Monomial(tuple(op.powers[q] for q in modes)) for op in ops)
+
+
+def product_state_factorization(state_a, state_b, cls: OperatorClass) -> np.ndarray:
+    """Reference kron factorization M^B (x) M^A for a product state rho_A (x) rho_B.
+
+    With the A-fastest flattening, M[(l,k),(l',k')] = M^A_{kk'} M^B_{ll'}
+    becomes the Kronecker product with the B factor on the slow side.
+    The factor states live on the side modes alone.
+    """
+    ma = _gram_moments(state_a, _project_side(cls.side_a, cls.modes_a))
+    mb = _gram_moments(state_b, _project_side(cls.side_b, cls.modes_b))
+    return np.kron(mb, ma)
+
+
+# -- brute-force index maps -------------------------------------------------------
 
 
 def brute_realignment(matrix: np.ndarray, d_slow: int, d_fast: int) -> np.ndarray:

@@ -13,13 +13,7 @@ import pytest
 from momentcrit.cli import RunConfig, analyze_state
 from momentcrit.criteria import generic_pt_det_test, hz_two_mode, multimode_bipartition
 from momentcrit.errors import SeriesDivergenceError
-from momentcrit.fock import HermitianOperator, partial_transpose_fock
-from momentcrit.moments import (
-    OperatorClass,
-    build_moment_matrix,
-    build_pt_moment_matrix,
-    product_state_factorization,
-)
+from momentcrit.moments import OperatorClass, build_moment_matrix
 from momentcrit.posmaps import (
     BreuerParams,
     ChoiParams,
@@ -33,7 +27,7 @@ from momentcrit.posmaps import (
     stormer_map,
 )
 from momentcrit.reconstruct import density_element, reconstruct_density, two_qubit_density
-from momentcrit.reorder import partial_transpose
+from momentcrit.reorder import build_pt_moment_matrix, partial_transpose
 from momentcrit.regression import check, fixtures, norm_ordering_records
 from momentcrit.sampling import (
     random_coherent_product,
@@ -44,7 +38,13 @@ from momentcrit.sampling import (
     random_separable_mixture,
 )
 from momentcrit import states
-from oracles import random_psd, random_rotation
+from oracles import (
+    HermitianOperator,
+    partial_transpose_fock,
+    product_state_factorization,
+    random_psd,
+    random_rotation,
+)
 
 BATTERY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "separable_battery.json"
 STD = OperatorClass.from_strings(["1", "a"], ["1", "b"])

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momentcrit.criteria
+import momentcrit.moments
+import momentcrit.reorder
 from momentcrit.cli import RunConfig, analyze_state
 from momentcrit.criteria import (
     MINOR_SCAN_BUDGET,
@@ -25,6 +28,7 @@ from momentcrit.criteria import (
     pt_norm_test,
     pt_sylvester_test,
     realign_norm_test,
+    resolve_tol,
     sv_cat_state_test,
     sylvester_scan,
 )
@@ -185,6 +189,29 @@ def test_tolerance_discipline_no_flips_at_doubled_tol():
             ]
             for v1, v2 in pairs:
                 assert v1.outcome == v2.outcome
+
+
+@pytest.mark.parametrize("tol", [-0.5, -1e-300, math.nan, math.inf, -math.inf])
+def test_resolve_tol_refuses_negative_or_non_finite(tol):
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        resolve_tol(None, tol)
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        pt_min_eig_test(states.product_coherent(0.3, 0.2), STD, tol=tol)
+    assert resolve_tol(None, 0) == 0.0
+
+
+@pytest.mark.parametrize("test", [pt_norm_test, realign_norm_test])
+def test_norm_tests_build_the_moment_matrix_once(monkeypatch, test):
+    calls = []
+
+    def counted(state, cls):
+        calls.append(cls)
+        return build_moment_matrix(state, cls)
+
+    for module in (momentcrit.criteria, momentcrit.moments, momentcrit.reorder):
+        monkeypatch.setattr(module, "build_moment_matrix", counted)
+    assert test(states.singlet(), STD).outcome is Outcome.ENTANGLED
+    assert calls == [STD]
 
 
 def test_separable_battery_never_entangled():

@@ -7,30 +7,33 @@ from momentcrit.cli import RunConfig, analyze_state
 from momentcrit.errors import DimensionError
 from momentcrit.fock import (
     MOMENT_WORKING_CAP,
-    HermitianOperator,
     ModeCutoffs,
     Monomial,
     StateVector,
     make_fock_state,
-    partial_transpose_fock,
 )
 from momentcrit.moments import (
     GenericClass,
     OperatorClass,
     build_generic_moment_matrix,
     build_moment_matrix,
-    build_pt_moment_matrix,
     _gram_moments,
-    flatten_index,
     moment,
     op_expectation,
     principal_submatrix,
-    product_state_factorization,
 )
-from momentcrit.reorder import partial_transpose
+from momentcrit.reorder import build_pt_moment_matrix, partial_transpose
 from momentcrit.sampling import random_density, random_product_pure, random_pure_state
 from momentcrit import states
-from oracles import dense_gram, dense_moment, traced_peak
+from oracles import (
+    HermitianOperator,
+    dense_gram,
+    dense_moment,
+    flatten_index,
+    partial_transpose_fock,
+    product_state_factorization,
+    traced_peak,
+)
 
 STD = OperatorClass.from_strings(["1", "a"], ["1", "b"])
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from momentcrit.criteria import pt_min_eig_test, pt_sylvester_test
 from momentcrit.errors import DegenerateStateError
-from momentcrit.fock import ModeCutoffs, StateVector
+from momentcrit.fock import DensityMatrix, ModeCutoffs, StateVector
 from momentcrit.moments import MomentMatrix, OperatorClass, build_moment_matrix
 from momentcrit.reorder import (
     nu_gamma,
@@ -16,7 +17,7 @@ from momentcrit.reorder import (
     trace_norm,
     transpose_factor,
 )
-from momentcrit.sampling import random_separable_mixture
+from momentcrit.sampling import random_density, random_pure_state, random_separable_mixture
 from momentcrit import states
 from oracles import brute_factor_transpose, brute_realignment
 
@@ -61,10 +62,8 @@ def test_singlet_realign_pattern():
         [[1, 0, 0, 0.5], [0, 0, -0.5, 0], [0, -0.5, 0, 0], [0.5, 0, 0, 0]]
     )
     np.testing.assert_allclose(realign_blocks(SINGLET_M, 2, 2), expected, atol=1e-15)
-    wrapped = realign(build_moment_matrix(states.singlet(), STD))
-    np.testing.assert_allclose(wrapped.entries, expected, atol=1e-14)
-    assert (wrapped.d_a, wrapped.d_b) == (2, 2)
-    assert wrapped.provenance["transformed"] == "realign"
+    realigned = realign(build_moment_matrix(states.singlet(), STD))
+    np.testing.assert_allclose(realigned, expected, atol=1e-14)
 
 
 def test_realign_single_entry_lands_at_worked_position():
@@ -148,11 +147,12 @@ def test_nu_bounded_for_separable_fixtures():
     rng = np.random.default_rng(9)
     for _ in range(10):
         state = random_separable_mixture(rng, (2, 2))
-        assert nu_gamma(state, STD) <= 1 + 1e-9
-        assert nu_realign(state, STD) <= 1 + 1e-9
-    coherent = states.product_coherent(0.4, 0.3)
-    assert nu_gamma(coherent, STD) <= 1 + 1e-6
-    assert nu_realign(coherent, STD) <= 1 + 1e-6
+        m = build_moment_matrix(state, STD)
+        assert nu_gamma(m) <= 1 + 1e-9
+        assert nu_realign(m) <= 1 + 1e-9
+    m = build_moment_matrix(states.product_coherent(0.4, 0.3), STD)
+    assert nu_gamma(m) <= 1 + 1e-6
+    assert nu_realign(m) <= 1 + 1e-6
 
 
 def test_nu_rejects_zero_trace():
@@ -160,5 +160,73 @@ def test_nu_rejects_zero_trace():
     bad = StateVector(ModeCutoffs((2, 2)), [1, 0, 0, 0])
     cls = OperatorClass.from_strings(["a"], ["b"])  # all moments vanish on vacuum
     with pytest.raises(DegenerateStateError):
-        nu_gamma(bad, cls)
+        nu_gamma(build_moment_matrix(bad, cls))
     assert zero.trace() == 0.0
+
+
+_SWAP = str.maketrans("aAbB", "bBaA")
+_SIDE_A = ["a", "A", "Aa", "aa", "AA"]
+
+
+@st.composite
+def _state_and_class(draw):
+    """A random pure or rank-2 two-mode state and a tensor class of 2-3 rows per side."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = (draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+    mixed = draw(st.booleans())
+    state = random_density(rng, cuts, rank=2) if mixed else random_pure_state(rng, cuts)
+    sides = [["1"] + draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+             for pool in (_SIDE_A, [t.translate(_SWAP) for t in _SIDE_A])]
+    return state, *sides
+
+
+def _witnesses(state, side_a, side_b) -> np.ndarray:
+    """nu_gamma, nu_realign, the PT minimum eigenvalue and the PT minor on rows (1, last),
+    which is (1, 4) on a 2 x 2 class."""
+    cls = OperatorClass.from_strings(side_a, side_b)
+    m = build_moment_matrix(state, cls)
+    return np.array([
+        nu_gamma(m),
+        nu_realign(m),
+        pt_min_eig_test(state, cls).witness["min_eigenvalue"],
+        pt_sylvester_test(state, cls, r_list=[(1, m.size)]).witness["min_principal_minor"],
+    ])
+
+
+def _transformed(state, amplitudes, matrix, cutoffs):
+    """The state of the same kind carrying the given amplitude map and cutoffs."""
+    if isinstance(state, StateVector):
+        return StateVector(ModeCutoffs(cutoffs), amplitudes(state.amplitudes))
+    return DensityMatrix(ModeCutoffs(cutoffs), matrix(state.matrix))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_state_and_class(), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
+def test_witnesses_invariant_under_local_phase_rotations(case, phi, theta):
+    # psi(n_a, n_b) -> exp(-i(phi n_a + theta n_b)) psi changes M by a diagonal unitary
+    state, side_a, side_b = case
+    c_a, c_b = state.cutoffs.cutoffs
+    u = np.exp(-1j * (phi * np.arange(c_a)[:, None] + theta * np.arange(c_b))).reshape(-1)
+    rotated = _transformed(state, lambda psi: u * psi,
+                           lambda rho: u[:, None] * rho * u.conj(), (c_a, c_b))
+    np.testing.assert_allclose(_witnesses(rotated, side_a, side_b),
+                               _witnesses(state, side_a, side_b), rtol=0, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_state_and_class())
+def test_witnesses_invariant_under_swapping_the_modes_with_the_class_sides(case):
+    state, side_a, side_b = case
+    c_a, c_b = state.cutoffs.cutoffs
+    d = c_a * c_b
+    swapped = _transformed(
+        state,
+        lambda psi: psi.reshape(c_a, c_b).T.reshape(-1),
+        lambda rho: rho.reshape(c_a, c_b, c_a, c_b).transpose(1, 0, 3, 2).reshape(d, d),
+        (c_b, c_a),
+    )
+    np.testing.assert_allclose(
+        _witnesses(swapped, [t.translate(_SWAP) for t in side_b],
+                   [t.translate(_SWAP) for t in side_a]),
+        _witnesses(state, side_a, side_b), rtol=0, atol=1e-10,
+    )

@@ -219,6 +219,15 @@ def test_cli_config_error_diagnostics(tmp_path, capsys):
          "dimension must be even and in 4..32, got 200000"),
         ({"criteria": [{"name": "map", "map": {"kind": "kossakowski", "n": 3000}}]},
          "dimension must be in 2..32, got 3000"),
+        ({"tol": -0.5}, "tol: tol must be a finite number >= 0, got -0.5"),
+        ({"tol": float("nan")}, "tol: tol must be a finite number >= 0, got nan"),
+        ({"tol": float("inf")}, "tol: tol must be a finite number >= 0, got inf"),
+        ({"criteria": [{"name": "map", "map": {"kind": "stormer"}, "side": "C"}]},
+         "criteria[0] (map) key 'side': expected 'A' or 'B'"),
+        ({"criteria": [{"name": "pt_sylvester", "max_minor_size": 0}]},
+         "criteria[0] (pt_sylvester) key 'max_minor_size': expected an integer >= 1"),
+        ({"criteria": [{"name": "pt_sylvester", "r_list": []}]},
+         "criteria[0] (pt_sylvester) key 'r_list': expected a nonempty list"),
     ],
 )
 def test_cli_rejects_bad_config_before_running(tmp_path, capsys, change, named):
@@ -227,6 +236,18 @@ def test_cli_rejects_bad_config_before_running(tmp_path, capsys, change, named):
     assert main(["analyze", str(path)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == "" and named in captured.err
+
+
+@pytest.mark.parametrize("tol", ["-0.5", "nan", "inf", "-inf"])
+def test_cli_refuses_bad_tol_flag(tmp_path, capsys, tol):
+    # with tol = -0.5 this separable state used to get three ENTANGLED verdicts
+    cfg = {"state": {"library": "product_coherent", "params": {"alpha": 0.3, "beta": 0.2}},
+           "criteria": [{"name": "pt_min_eig"}, {"name": "pt_norm"}, {"name": "hz_two_mode"}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["analyze", str(path), f"--tol={tol}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol: tol must be a finite number >= 0" in captured.err
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
