@@ -63,7 +63,6 @@ from .criteria import (
     hz_two_mode,
     map_test,
     min_eig_test,
-    multimode_bipartition,
     pt_min_eig_test,
     pt_norm_test,
     pt_sylvester_test,

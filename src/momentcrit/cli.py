@@ -12,8 +12,8 @@ and values against it and prepares each call before any state is built; it
 also refuses unknown top-level keys and a state object that mixes kinds or
 carries a key its kind does not take (``_STATE_KINDS``).
 ``analyze_state`` runs the prepared calls on a state or moment table.  Checks
-that need the state (modes, map dimension) stay with the criterion and end as
-ERROR records.
+that need the state (whether the modes exist, map dimension) stay with the
+criterion and end as ERROR records.
 
 Exit codes: 0 = ran, nothing detected; 3 = ran, at least one ENTANGLED verdict
 (takes precedence); 4 = ran, at least one ERROR record and no ENTANGLED
@@ -276,24 +276,26 @@ def _ints(raw) -> tuple[int, ...]:
     return tuple(index(x) for x in raw)  # index() refuses floats and strings
 
 
-def _side(raw) -> str:
-    if raw not in ("A", "B"):
-        raise ValueError(f"expected 'A' or 'B', got {raw!r}")
-    return raw
+def _checked(convert, accept, expected: str):
+    """A converter that refuses a converted value failing accept: "expected ..., got ..."."""
+    def check(raw):
+        value = convert(raw)
+        if not accept(value):
+            raise ValueError(f"expected {expected}, got {value!r}")
+        return value
+
+    return check
 
 
-def _positive(raw) -> int:
-    n = index(raw)
-    if n < 1:
-        raise ValueError(f"expected an integer >= 1, got {n}")
-    return n
+_side = _checked(lambda raw: raw, lambda side: side in ("A", "B"), "'A' or 'B'")
+_positive = _checked(index, lambda n: n >= 1, "an integer >= 1")
+_variant = _checked(index, lambda v: v in (1, 2), "1 or 2")
+_rows = _checked(_ints, len, "a nonempty list of row indices")
+_r_list = _checked(lambda raw: [_rows(r) for r in raw], len, "a nonempty list of index lists")
 
 
-def _r_list(raw) -> list[tuple[int, ...]]:
-    r_list = [_ints(r) for r in raw]
-    if not r_list:
-        raise ValueError("expected a nonempty list of index lists")
-    return r_list
+def _modes_of(count: int):
+    return _checked(_ints, lambda modes: len(modes) == count, f"{count} modes")
 
 
 def _modes(cls: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -367,7 +369,7 @@ class Criterion:
 
 _STD = _tensor_class({})  # rows (1, a, b, ab)
 _CLASS = {"class": _tensor_class}
-_MODES = {"modes": _ints}
+_MODES = {"modes": _modes_of(2)}
 
 CRITERIA = {
     "pt_norm": Criterion("normalized PT trace norm > 1 (tensor class)", _CLASS,
@@ -378,21 +380,22 @@ CRITERIA = {
                             lambda p: partial(pt_min_eig_test, cls=p.get("class", _STD))),
     "pt_sylvester": Criterion(
         "negative principal minor of the PT moment matrix",
-        {**_CLASS, "r": _ints, "r_list": _r_list, "max_minor_size": _positive},
+        {**_CLASS, "r": _rows, "r_list": _r_list, "max_minor_size": _positive},
         lambda p: partial(pt_sylvester_test, cls=p.get("class", _STD),
-                          r_list=[p["r"]] if p.get("r") else p.get("r_list"),
+                          r_list=[p["r"]] if "r" in p else p.get("r_list"),
                           max_minor_size=p.get("max_minor_size", 4))),
     "generic_pt_det": Criterion("determinant over a generic class on the PT state",
-                                {"class": _generic_class, "r": _ints},
+                                {"class": _generic_class, "r": _rows},
                                 lambda p: partial(generic_pt_det_test, cls=p["class"], r=p.get("r"))),
     "map": Criterion("positive map applied to one side of the moment matrix",
-                     {**_CLASS, "map": _map_from, "side": _side, "r": _ints},
+                     {**_CLASS, "map": _map_from, "side": _side, "r": _rows},
                      lambda p: partial(map_test, cls=p.get("class", _STD), pmap=p["map"],
                                        side=p.get("side", "A"), r=p.get("r"))),
     "hz_two_mode": Criterion("two-mode number-correlation inequality", _MODES,
                              lambda p: partial(hz_two_mode, **p)),
     "hz_three_mode": Criterion("three-mode number-correlation inequality (variant 1|2)",
-                               {"variant": index, **_MODES}, lambda p: partial(hz_three_mode, **p)),
+                               {"variant": _variant, "modes": _modes_of(3)},
+                               lambda p: partial(hz_three_mode, **p)),
     "breuer_inequality": Criterion("two-mode time-reversal inequality", _MODES,
                                    lambda p: partial(breuer_inequality_test, **p)),
     "breuer_bell": Criterion("time-reversal witness on rows (1,6,9)", {},

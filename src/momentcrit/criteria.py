@@ -13,6 +13,7 @@ actually used.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -85,11 +86,20 @@ def resolve_tol(state: State | None, tol: float | None) -> float:
     return TOL_EXACT
 
 
-def _negativity_outcome(value: float, tol: float) -> tuple[Outcome, bool]:
-    """ENTANGLED iff value < -tol; boundary flags |value| <= tol."""
-    if value < -tol:
-        return Outcome.ENTANGLED, False
-    return Outcome.INCONCLUSIVE, abs(value) <= tol
+def _negativity_verdict(
+    value: float, tol: float, criterion: str, witness: dict, provenance: dict | None
+) -> Verdict:
+    """ENTANGLED iff value < -tol; boundary flags |value| <= tol.  The threshold is 0."""
+    entangled = value < -tol
+    return Verdict(
+        criterion=criterion,
+        outcome=Outcome.ENTANGLED if entangled else Outcome.INCONCLUSIVE,
+        witness=witness,
+        threshold=0.0,
+        tol=tol,
+        boundary=not entangled and abs(value) <= tol,
+        provenance=provenance or {},
+    )
 
 
 def min_eig_test(
@@ -103,16 +113,8 @@ def min_eig_test(
     if np.max(np.abs(m - m.conj().T)) > 1e-8:
         raise ValueError("min_eig_test expects a Hermitian matrix")
     lam = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-    outcome, boundary = _negativity_outcome(lam, tol)
-    return Verdict(
-        criterion=criterion,
-        outcome=outcome,
-        witness={"min_eigenvalue": lam, "matrix": m},
-        threshold=0.0,
-        tol=tol,
-        boundary=boundary,
-        provenance=provenance or {},
-    )
+    witness = {"min_eigenvalue": lam, "matrix": m}
+    return _negativity_verdict(lam, tol, criterion, witness, provenance)
 
 
 def sylvester_scan(
@@ -127,11 +129,17 @@ def sylvester_scan(
 
     With ``r_list`` only the listed index sets are evaluated; otherwise every
     principal minor up to ``max_minor_size`` is enumerated (the full scan is
-    exponential, so the default size stays small).
+    exponential, so the default size stays small).  A ``max_minor_size``
+    below 1 or an empty ``r_list`` raises ValueError: it would scan nothing.
     """
     m = matrix.entries if hasattr(matrix, "entries") else np.asarray(matrix, dtype=complex)
     if np.max(np.abs(m - m.conj().T)) > 1e-8:
         raise ValueError("sylvester_scan expects a Hermitian matrix")
+    if max_minor_size < 1 or (r_list is not None and not r_list):
+        raise ValueError(
+            f"a scan needs max_minor_size >= 1 and a nonempty r_list, got {max_minor_size} "
+            f"and {r_list}"
+        )
     size = m.shape[0]
     # blocks of (candidate positions, 0-based index rows), one block per minor size
     if r_list is None:
@@ -171,19 +179,15 @@ def sylvester_scan(
         pos, idx = next((pos, idx) for pos, idx in blocks if j in pos)
         worst_det = float(dets[j])
         worst_r = tuple(int(x) + 1 for x in idx[np.searchsorted(pos, j)])
-    outcome, boundary = _negativity_outcome(worst_det, tol)
-    return Verdict(
+    return _negativity_verdict(
+        worst_det, tol,
         criterion=criterion,
-        outcome=outcome,
         witness={
             "min_principal_minor": worst_det,
             "r": worst_r,
             "submatrix": principal_submatrix(m, worst_r) if worst_r else m,
         },
-        threshold=0.0,
-        tol=tol,
-        boundary=boundary,
-        provenance=provenance or {},
+        provenance=provenance,
     )
 
 
@@ -258,24 +262,16 @@ def generic_pt_det_test(
     tol: float | None = None,
     criterion: str = "generic_pt_det",
 ) -> Verdict:
-    """Determinant of the generic moment matrix on the PT state (B-conjugated)."""
+    """Determinant of the generic moment matrix on the PT state."""
     tol = resolve_tol(state, tol)
-    m = build_generic_moment_matrix(state, cls, conjugate_b_modes=True)
-    sub = principal_submatrix(m, r) if r else m.entries
+    m = build_generic_moment_matrix(state, cls)
+    sub = principal_submatrix(m, r) if r is not None else m.entries
     det = float(np.linalg.det(sub).real)
-    outcome, boundary = _negativity_outcome(det, tol)
-    return Verdict(
+    return _negativity_verdict(
+        det, tol,
         criterion=criterion,
-        outcome=outcome,
         witness={"det": det, "matrix": sub},
-        threshold=0.0,
-        tol=tol,
-        boundary=boundary,
-        provenance={
-            "class": cls.describe(),
-            "state": getattr(state, "label", "state"),
-            "r": r,
-        },
+        provenance={"class": cls.describe(), "state": getattr(state, "label", "state"), "r": r},
     )
 
 
@@ -297,18 +293,14 @@ def map_test(
     tol = resolve_tol(state, tol)
     m = build_moment_matrix(state, cls)
     transformed = apply_partial(m, pmap, side=side)
-    sub = principal_submatrix(transformed, r) if r else transformed
+    sub = principal_submatrix(transformed, r) if r is not None else transformed
     sub_h = (sub + sub.conj().T) / 2
     lam = float(np.linalg.eigvalsh(sub_h)[0])
     det = float(np.linalg.det(sub).real)
-    outcome, boundary = _negativity_outcome(lam, tol)
-    return Verdict(
+    return _negativity_verdict(
+        lam, tol,
         criterion="map",
-        outcome=outcome,
         witness={"min_eigenvalue": lam, "det": det, "matrix": sub},
-        threshold=0.0,
-        tol=tol,
-        boundary=boundary,
         provenance={
             "class": cls.describe(),
             "state": getattr(state, "label", "state"),
@@ -319,7 +311,7 @@ def map_test(
     )
 
 
-# -- named moment-inequality shortcuts ----------------------------------------
+# -- named moment inequalities --------------------------------------------------
 
 
 def _ev(state: State, *texts: str) -> complex:
@@ -331,49 +323,59 @@ def _letters(modes: tuple[int, ...]) -> str:
     return "".join("abcdefghijklmnopqrstuvwxyz"[q] for q in modes)
 
 
-def _check_modes(state: State, modes: tuple[int, ...], criterion: str) -> None:
-    if len(set(modes)) != len(modes) or not set(modes) <= set(range(state.num_modes)):
+def _check_modes(state: State, modes: tuple[int, ...], count: int, criterion: str) -> None:
+    distinct = len(modes) == len(set(modes)) == count
+    if not distinct or not set(modes) <= set(range(state.num_modes)):
         raise DimensionError(
-            f"{criterion} needs {len(modes)} distinct modes of the state, "
+            f"{criterion} needs {count} distinct modes of the state, "
             f"got {tuple(modes)} on a {state.num_modes}-mode state"
         )
+
+
+@functools.lru_cache(maxsize=256)
+def _preset_class(ops: tuple[str, str], modes: tuple[int, ...], num_modes: int) -> GenericClass:
+    return GenericClass.from_strings(list(ops), modes[:1], modes[1:], num_modes)
+
+
+def _cauchy_schwarz(state: State, modes: tuple[int, ...], ops: tuple[str, str]):
+    """(m00, m11, |m01|^2, det) of the 2x2 generic PT matrix over ``ops``.
+
+    The bipartition is modes[0] versus the other listed modes.  A negative
+    determinant m00 m11 - |m01|^2 violates the Cauchy-Schwarz inequality that
+    every separable state obeys.
+    """
+    cls = _preset_class(ops, tuple(modes), state.num_modes)
+    m = build_generic_moment_matrix(state, cls).entries
+    m00, m11, off = float(m[0, 0].real), float(m[1, 1].real), float(abs(m[0, 1]) ** 2)
+    return m00, m11, off, m00 * m11 - off
 
 
 def hz_two_mode(
     state: State, modes: tuple[int, int] = (0, 1), tol: float | None = None
 ) -> Verdict:
-    """Two-mode number-correlation inequality.
+    """Two-mode number-correlation inequality, a 2x2 PT determinant.
 
-    ENTANGLED iff <N_a N_b> < |<a b^dag>|^2 - tol, the determinant condition
-    on the 2x2 PT moment submatrix of the class (1, ab).  The companion
-    product condition <N_a><N_b> < |<a b>|^2 is evaluated and recorded in the
+    ENTANGLED iff <N_a N_b> < |<a b^dag>|^2 - tol: the determinant of the
+    generic PT matrix over (1, ab).  The companion product condition
+    <N_a><N_b> < |<a b>|^2, the determinant over (a, b), is recorded in the
     witness as well.
     """
-    _check_modes(state, modes, "hz_two_mode")
+    _check_modes(state, modes, 2, "hz_two_mode")
     tol = resolve_tol(state, tol)
     la, lb = _letters(modes)
-    n_ab = _ev(state, la.upper() + la + lb.upper() + lb).real
-    ab_dag = _ev(state, la + lb.upper())
-    det = n_ab - abs(ab_dag) ** 2
-    n_a = _ev(state, la.upper() + la).real
-    n_b = _ev(state, lb.upper() + lb).real
-    ab = _ev(state, la + lb)
-    product_margin = n_a * n_b - abs(ab) ** 2
-    outcome, boundary = _negativity_outcome(det, tol)
-    return Verdict(
+    _, n_ab, ab_dag, det = _cauchy_schwarz(state, modes, ("1", la + lb))
+    n_a, n_b, ab, product_margin = _cauchy_schwarz(state, modes, (la, lb))
+    return _negativity_verdict(
+        det, tol,
         criterion="hz_two_mode",
-        outcome=outcome,
         witness={
             "det": det,
             "n_a_n_b": n_ab,
-            "abs_sq_a_bdag": abs(ab_dag) ** 2,
+            "abs_sq_a_bdag": ab_dag,
             "product_margin": product_margin,
             "n_a_times_n_b": n_a * n_b,
-            "abs_sq_ab": abs(ab) ** 2,
+            "abs_sq_ab": ab,
         },
-        threshold=0.0,
-        tol=tol,
-        boundary=boundary,
         provenance={"modes": modes, "state": getattr(state, "label", "state")},
     )
 
@@ -384,36 +386,28 @@ def hz_three_mode(
     modes: tuple[int, int, int] = (0, 1, 2),
     tol: float | None = None,
 ) -> Verdict:
-    """Three-mode number-correlation inequalities.
+    """Three-mode number-correlation inequalities, 2x2 PT determinants.
 
-    variant 1: ENTANGLED iff <N_a N_b N_c> < |<a^dag b c>|^2 - tol.
-    variant 2: ENTANGLED iff <N_a><N_b N_c> < |<a b c>|^2 - tol.
-    Equality within tol is INCONCLUSIVE with the boundary flag set; the
-    inequalities are strict.
+    variant 1: ENTANGLED iff <N_a N_b N_c> < |<a^dag b c>|^2 - tol, over (1, abc).
+    variant 2: ENTANGLED iff <N_a><N_b N_c> < |<a b c>|^2 - tol, over (a, bc).
+    Mode a is partially transposed against b and c.  Equality within tol is
+    INCONCLUSIVE with the boundary flag set; the inequalities are strict.
     """
-    _check_modes(state, modes, "hz_three_mode")
+    if variant not in (1, 2):
+        raise ValueError("variant must be 1 or 2")
+    _check_modes(state, modes, 3, "hz_three_mode")
     tol = resolve_tol(state, tol)
     la, lb, lc = _letters(modes)
     if variant == 1:
-        lhs = _ev(state, la.upper() + la + lb.upper() + lb + lc.upper() + lc).real
-        amp = _ev(state, la.upper() + lb + lc)
-        names = ("n_a_n_b_n_c", "abs_sq_adag_b_c")
-    elif variant == 2:
-        lhs = _ev(state, la.upper() + la).real * _ev(state, lb.upper() + lb + lc.upper() + lc).real
-        amp = _ev(state, la + lb + lc)
-        names = ("n_a_times_n_b_n_c", "abs_sq_a_b_c")
+        _, n_abc, rhs, margin = _cauchy_schwarz(state, modes, ("1", la + lb + lc))
+        witness = {"margin": margin, "n_a_n_b_n_c": n_abc, "abs_sq_adag_b_c": rhs}
     else:
-        raise ValueError("variant must be 1 or 2")
-    rhs = abs(amp) ** 2
-    margin = lhs - rhs
-    outcome, boundary = _negativity_outcome(margin, tol)
-    return Verdict(
+        n_a, n_bc, rhs, margin = _cauchy_schwarz(state, modes, (la, lb + lc))
+        witness = {"margin": margin, "n_a_times_n_b_n_c": n_a * n_bc, "abs_sq_a_b_c": rhs}
+    return _negativity_verdict(
+        margin, tol,
         criterion=f"hz_three_mode_v{variant}",
-        outcome=outcome,
-        witness={"margin": margin, names[0]: lhs, names[1]: rhs},
-        threshold=0.0,
-        tol=tol,
-        boundary=boundary,
+        witness=witness,
         provenance={"modes": modes, "variant": variant, "state": getattr(state, "label", "state")},
     )
 
@@ -427,7 +421,7 @@ def breuer_inequality_test(
     the determinant condition on the 2x2 submatrix produced by the partial
     time-reversal map on the redundant class (1,a,Aa,1) x (1,b,Bb,1).
     """
-    _check_modes(state, modes, "breuer_inequality")
+    _check_modes(state, modes, 2, "breuer_inequality")
     tol = resolve_tol(state, tol)
     la, lb = _letters(modes)
     num_a = la.upper() + la
@@ -438,14 +432,10 @@ def breuer_inequality_test(
     rhs = abs(off) ** 2
     det = lhs - rhs
     matrix = np.array([[2.0, -off], [-np.conj(off), n_ab + n2_ab]], dtype=complex)
-    outcome, boundary = _negativity_outcome(det, tol)
-    return Verdict(
+    return _negativity_verdict(
+        det, tol,
         criterion="breuer_inequality",
-        outcome=outcome,
         witness={"det": det, "lhs": lhs, "rhs": rhs, "matrix": matrix},
-        threshold=0.0,
-        tol=tol,
-        boundary=boundary,
         provenance={"modes": modes, "state": getattr(state, "label", "state")},
     )
 
@@ -479,19 +469,15 @@ def breuer_bell_test(state: State, tol: float | None = None) -> Verdict:
         dets[name] = float(np.linalg.det(sub).real)
         mats[name] = sub
     worst = min(dets.values())
-    outcome, boundary = _negativity_outcome(worst, tol)
-    return Verdict(
+    return _negativity_verdict(
+        worst, tol,
         criterion="breuer_bell",
-        outcome=outcome,
         witness={
             "det_f1": dets["f1"],
             "det_f2": dets["f2"],
             "matrix_f1": mats["f1"],
             "matrix_f2": mats["f2"],
         },
-        threshold=0.0,
-        tol=tol,
-        boundary=boundary,
         provenance={"r": r, "map": pmap.name, "side": "A", "state": getattr(state, "label", "state")},
     )
 
@@ -529,17 +515,7 @@ class Bipartition:
     def modes_b(self) -> tuple[int, ...]:
         return tuple(q for q in range(self.num_modes) if q != self.mode_a)
 
-    def tensor_class(self, side_a: list[str], side_b: list[str]) -> OperatorClass:
-        return OperatorClass.from_strings(
-            side_a, side_b, self.modes_a, self.modes_b, num_modes=self.num_modes
-        )
-
     def generic_class(self, ops: list[str]) -> GenericClass:
         return GenericClass.from_strings(
             ops, self.modes_a, self.modes_b, num_modes=self.num_modes
         )
-
-
-def multimode_bipartition(state: State, mode_a: int) -> Bipartition:
-    """Bipartition of a multimode state into mode ``mode_a`` vs the rest."""
-    return Bipartition(state.num_modes, mode_a)

@@ -28,6 +28,7 @@ reconstruction alike.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -126,8 +127,8 @@ class OperatorClass:
 class GenericClass:
     """Ordered monomial list without tensor structure, plus a bipartition.
 
-    The bipartition is only consulted when moments of the partially
-    transposed state are requested (see build_generic_moment_matrix).
+    The bipartition names the B modes that build_generic_moment_matrix
+    partially transposes.
     """
 
     ops: tuple[Monomial, ...]
@@ -389,37 +390,41 @@ def build_moment_matrix(state: State | TableSource, cls: OperatorClass) -> Momen
     )
 
 
-def build_generic_moment_matrix(
-    state: State | TableSource, cls: GenericClass, conjugate_b_modes: bool = False
-) -> MomentMatrix:
-    """Moment matrix over a generic class, optionally on the PT state.
+@functools.lru_cache(maxsize=256)
+def _pt_products(cls: GenericClass) -> tuple[tuple[Monomial, ...], np.ndarray]:
+    """The distinct products A_k B_l of a generic class, and idx[i, j], the position of A_i B_j."""
+    a_parts = [op.restricted_to(cls.modes_a) for op in cls.ops]
+    b_parts = [op.restricted_to(cls.modes_b) for op in cls.ops]
+    distinct_a, distinct_b = list(dict.fromkeys(a_parts)), list(dict.fromkeys(b_parts))
+    products = tuple(a.merged_with(b) for b in distinct_b for a in distinct_a)
+    idx = (np.array([distinct_a.index(a) for a in a_parts])[:, None]
+           + len(distinct_a) * np.array([distinct_b.index(b) for b in b_parts]))
+    idx.flags.writeable = False
+    return products, idx
 
-    With ``conjugate_b_modes=True`` the entries are moments of the partially
-    transposed state, obtained on the original state by exchanging the
-    B-mode parts of the row and column monomials inside each product:
-    entry (i, j) = < (A_i B_j)^dag (A_j B_i) > where A/B restrict each
-    monomial to its bipartition side.  Taking a submatrix of the plain
-    moment matrix and transposing it afterwards is NOT equivalent for
-    non-tensor classes, which is why the exchange happens here.
+
+def build_generic_moment_matrix(state: State | TableSource, cls: GenericClass) -> MomentMatrix:
+    """Moment matrix over a generic class on the partially transposed state.
+
+    Entry (i, j) = < (A_i B_j)^dag (A_j B_i) >, where A/B restrict each
+    monomial to its bipartition side: the B-mode parts of the row and column
+    monomials are exchanged inside each product.  Taking a submatrix of the
+    plain moment matrix and transposing it afterwards is NOT equivalent for
+    non-tensor classes.  Every entry is an entry of the Gram matrix of the
+    distinct products A_k B_l, which a state computes in one shift-table
+    pass; a table is asked for the upper-triangle entries only.
     """
     if cls.num_modes != state.num_modes:
         raise DimensionError("operator class and state disagree on the number of modes")
-    prov = {
-        "class": cls.describe(),
-        "state": getattr(state, "label", "state"),
-        "pt_state": bool(conjugate_b_modes),
-    }
-    if not conjugate_b_modes:
-        return MomentMatrix(_gram_moments(state, cls.ops), provenance=prov)
-    a_parts = [op.restricted_to(cls.modes_a) for op in cls.ops]
-    b_parts = [op.restricted_to(cls.modes_b) for op in cls.ops]
-
-    def entry(i, j):
-        row_op = a_parts[i].merged_with(b_parts[j])
-        col_op = a_parts[j].merged_with(b_parts[i])
-        return op_expectation(state, (row_op.dagger(), col_op))
-
-    return MomentMatrix(_hermitian_from(cls.size, entry), provenance=prov)
+    products, idx = _pt_products(cls)
+    if isinstance(state, TableSource):
+        entries = _hermitian_from(cls.size, lambda i, j: op_expectation(
+            state, (products[idx[i, j]].dagger(), products[idx[j, i]])))
+    else:
+        entries = _gram_moments(state, products)[idx, idx.T]
+    return MomentMatrix(
+        entries, provenance={"class": cls.describe(), "state": getattr(state, "label", "state")}
+    )
 
 
 def principal_submatrix(

@@ -10,8 +10,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from momentcrit.errors import DimensionError
-from momentcrit.fock import ModeCutoffs, Monomial, StateVector
-from momentcrit.moments import OperatorClass, _gram_moments, principal_submatrix
+from momentcrit.fock import DensityMatrix, ModeCutoffs, Monomial, StateVector
+from momentcrit.moments import (
+    OperatorClass,
+    TableSource,
+    _gram_moments,
+    moment,
+    op_expectation,
+    principal_submatrix,
+)
 from momentcrit.posmaps import PositiveMap, gell_mann_generators
 
 
@@ -120,6 +127,39 @@ def product_state_factorization(state_a, state_b, cls: OperatorClass) -> np.ndar
     ma = _gram_moments(state_a, _project_side(cls.side_a, cls.modes_a))
     mb = _gram_moments(state_b, _project_side(cls.side_b, cls.modes_b))
     return np.kron(mb, ma)
+
+
+def complete_table(state, max_power: int) -> TableSource:
+    """Every moment with creation and annihilation powers below max_power per mode."""
+    per_mode = list(itertools.product(range(max_power), repeat=2))
+    specs = [Monomial(p) for p in itertools.product(per_mode, repeat=state.num_modes)]
+    return TableSource({spec: moment(state, spec) for spec in specs}, state.num_modes, "table")
+
+
+def _same_kind(state, amplitudes, matrix, cutoffs):
+    """The state of the same kind carrying the given amplitude map and cutoffs."""
+    if isinstance(state, StateVector):
+        return StateVector(ModeCutoffs(cutoffs), amplitudes(state.amplitudes))
+    return DensityMatrix(ModeCutoffs(cutoffs), matrix(state.matrix))
+
+
+def rotate_phases(state, phases):
+    """psi -> exp(-i sum_q phases[q] n_q) psi, and rho -> U rho U^dag alike."""
+    cuts = state.cutoffs.cutoffs
+    u = np.exp(-1j * (np.asarray(phases) @ np.indices(cuts).reshape(len(cuts), -1)))
+    return _same_kind(state, lambda psi: u * psi, lambda rho: u[:, None] * rho * u.conj(), cuts)
+
+
+def permute_modes(state, perm):
+    """The state whose mode k is mode perm[k] of ``state``."""
+    cuts = state.cutoffs.cutoffs
+    d, both = state.cutoffs.total_dimension, tuple(perm) + tuple(len(cuts) + p for p in perm)
+    return _same_kind(
+        state,
+        lambda psi: psi.reshape(cuts).transpose(perm).reshape(-1),
+        lambda rho: rho.reshape(cuts + cuts).transpose(both).reshape(d, d),
+        tuple(cuts[p] for p in perm),
+    )
 
 
 # -- brute-force index maps -------------------------------------------------------
@@ -320,3 +360,59 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def explicit_pt_gram(state, cls) -> np.ndarray:
+    """<ops_i^dag ops_j> of a generic class on the explicitly partially transposed state.
+
+    The density matrix (|psi><psi| for a pure state) is transposed on the
+    class's B modes in the Fock basis and read through ``dense_gram``.
+    """
+    rho = state.density().matrix if isinstance(state, StateVector) else state.matrix
+    pt = HermitianOperator(state.cutoffs, partial_transpose_fock(rho, state.cutoffs, cls.modes_b))
+    return dense_gram(pt, cls.ops)
+
+
+# -- the number-correlation inequalities written out as moment formulas ------------
+
+
+def _ev(state, *texts: str) -> complex:
+    """Expectation of the product of monomials given in the compact letter form."""
+    return op_expectation(state, tuple(Monomial.from_string(t, state.num_modes) for t in texts))
+
+
+def _letters(modes) -> str:
+    return "".join("abcdefghijklmnopqrstuvwxyz"[q] for q in modes)
+
+
+def hz_two_mode_formula(state, modes=(0, 1)) -> dict:
+    """Witness of ``hz_two_mode``: <N_a N_b> - |<a b^dag>|^2 and <N_a><N_b> - |<a b>|^2."""
+    la, lb = _letters(modes)
+    n_ab = _ev(state, la.upper() + la + lb.upper() + lb).real
+    ab_dag = _ev(state, la + lb.upper())
+    n_a = _ev(state, la.upper() + la).real
+    n_b = _ev(state, lb.upper() + lb).real
+    ab = _ev(state, la + lb)
+    return {
+        "det": n_ab - abs(ab_dag) ** 2,
+        "n_a_n_b": n_ab,
+        "abs_sq_a_bdag": abs(ab_dag) ** 2,
+        "product_margin": n_a * n_b - abs(ab) ** 2,
+        "n_a_times_n_b": n_a * n_b,
+        "abs_sq_ab": abs(ab) ** 2,
+    }
+
+
+def hz_three_mode_formula(state, variant, modes=(0, 1, 2)) -> dict:
+    """Witness of ``hz_three_mode``: <N_a N_b N_c> - |<a^dag b c>|^2 (variant 1)
+    or <N_a><N_b N_c> - |<a b c>|^2 (variant 2)."""
+    la, lb, lc = _letters(modes)
+    if variant == 1:
+        lhs = _ev(state, la.upper() + la + lb.upper() + lb + lc.upper() + lc).real
+        amp = _ev(state, la.upper() + lb + lc)
+        names = ("n_a_n_b_n_c", "abs_sq_adag_b_c")
+    else:
+        lhs = _ev(state, la.upper() + la).real * _ev(state, lb.upper() + lb + lc.upper() + lc).real
+        amp = _ev(state, la + lb + lc)
+        names = ("n_a_times_n_b_n_c", "abs_sq_a_b_c")
+    return {"margin": lhs - abs(amp) ** 2, names[0]: lhs, names[1]: abs(amp) ** 2}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from momentcrit.cli import RunConfig, analyze_state
-from momentcrit.criteria import generic_pt_det_test, hz_two_mode, multimode_bipartition
+from momentcrit.criteria import Bipartition, generic_pt_det_test, hz_two_mode
 from momentcrit.errors import SeriesDivergenceError
 from momentcrit.moments import OperatorClass, build_moment_matrix
 from momentcrit.posmaps import (
@@ -40,6 +40,7 @@ from momentcrit.sampling import (
 from momentcrit import states
 from oracles import (
     HermitianOperator,
+    hz_two_mode_formula,
     partial_transpose_fock,
     product_state_factorization,
     random_psd,
@@ -226,15 +227,16 @@ def test_acceptance_09_reconstruction():
 
 
 def test_acceptance_10_multimode():
-    # the two-mode number inequality is the generic (1, ab) determinant of the bipartition
+    # the two-mode number inequality, read off the generic (1, ab) PT matrix of the
+    # bipartition, equals its moment formula <N_a N_b> - |<a b^dag>|^2
     singlet = states.singlet()
-    hz = hz_two_mode(singlet)
-    bipartition = multimode_bipartition(singlet, 0)
-    generic = generic_pt_det_test(singlet, bipartition.generic_class(["1", "ab"]))
+    hz = hz_two_mode(singlet).witness["det"]
+    generic = generic_pt_det_test(singlet, Bipartition(2, 0).generic_class(["1", "ab"]))
+    formula = hz_two_mode_formula(singlet)["det"]
     _report(
         "10.two_mode_reduction",
-        abs(hz.witness["det"] - generic.witness["det"]) < 1e-12,
-        f"hz={hz.witness['det']} generic={generic.witness['det']}",
+        max(abs(hz - formula), abs(generic.witness["det"] - formula)) < 1e-12,
+        f"hz={hz} generic={generic.witness['det']} formula={formula}",
     )
 
 

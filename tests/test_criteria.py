@@ -15,6 +15,7 @@ from momentcrit.cli import RunConfig, analyze_state
 from momentcrit.criteria import (
     MINOR_SCAN_BUDGET,
     TOL_EXACT,
+    Bipartition,
     Outcome,
     breuer_bell_test,
     breuer_inequality_test,
@@ -23,7 +24,6 @@ from momentcrit.criteria import (
     hz_two_mode,
     map_test,
     min_eig_test,
-    multimode_bipartition,
     pt_min_eig_test,
     pt_norm_test,
     pt_sylvester_test,
@@ -45,11 +45,20 @@ from momentcrit.regression import fixtures
 from momentcrit.sampling import (
     random_coherent_product,
     random_coherent_separable_mixture,
+    random_density,
     random_pure_state,
     random_separable_mixture,
 )
 from momentcrit import states
-from oracles import loop_sylvester_scan, traced_peak
+from oracles import (
+    complete_table,
+    hz_three_mode_formula,
+    hz_two_mode_formula,
+    loop_sylvester_scan,
+    permute_modes,
+    rotate_phases,
+    traced_peak,
+)
 
 BATTERY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "separable_battery.json"
 STD = OperatorClass.from_strings(["1", "a"], ["1", "b"])
@@ -133,11 +142,11 @@ def test_sv_cat_detects_both_cat_states():
 
 
 def test_multimode_bipartition_builders():
-    bp = multimode_bipartition(states.ghz3(), 0)
+    bp = Bipartition(states.ghz3().num_modes, 0)
     assert bp.modes_a == (0,) and bp.modes_b == (1, 2)
     # two-mode reduction is the ordinary bipartition
     singlet = states.singlet()
-    bp2 = multimode_bipartition(singlet, 0)
+    bp2 = Bipartition(singlet.num_modes, 0)
     reduced = generic_pt_det_test(singlet, bp2.generic_class(["1", "ab"]))
     plain = generic_pt_det_test(singlet, GenericClass.from_strings(["1", "ab"]))
     np.testing.assert_array_equal(reduced.witness["matrix"], plain.witness["matrix"])
@@ -150,7 +159,7 @@ def test_mid_mode_bipartition():
         [(1.0, make_fock_state((0, 1, 1), cuts)), (1.0, make_fock_state((1, 0, 0), cuts))],
         label="mid",
     )
-    bp = multimode_bipartition(state, 1)
+    bp = Bipartition(state.num_modes, 1)
     assert bp.modes_a == (1,) and bp.modes_b == (0, 2)
     gcls = bp.generic_class(["1", "abc"])
     v = generic_pt_det_test(state, gcls)
@@ -242,6 +251,15 @@ def test_mode_preconditions_fail_fast():
         breuer_inequality_test(singlet, modes=(1, 1))
 
 
+@pytest.mark.parametrize("scan", [{"max_minor_size": 0}, {"max_minor_size": -2}, {"r_list": []}])
+def test_sylvester_scan_refuses_an_empty_scan(scan):
+    # a scan of no minors used to return INCONCLUSIVE with min_principal_minor = inf
+    with pytest.raises(ValueError, match="max_minor_size >= 1 and a nonempty r_list"):
+        sylvester_scan(np.diag([1.0, -1.0]), **scan)
+    with pytest.raises(ValueError, match="max_minor_size >= 1 and a nonempty r_list"):
+        pt_sylvester_test(states.singlet(), STD, **scan)
+
+
 def test_sylvester_scan_budget():
     def over_budget():
         with pytest.raises(ValueError, match="budget"):
@@ -277,7 +295,7 @@ def _scan_case(draw):
     if draw(st.booleans()):
         return m, draw(st.integers(1, size)), None
     subset = st.sets(st.integers(1, size), min_size=1).map(lambda r: tuple(sorted(r)))
-    return m, 4, draw(st.lists(subset, max_size=12))
+    return m, 4, draw(st.lists(subset, min_size=1, max_size=12))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # det of minors with NaN entries
@@ -292,3 +310,77 @@ def test_sylvester_scan_equals_the_per_minor_loop(case):
     sub = principal_submatrix(m, r) if r else m
     assert v.witness["submatrix"].tobytes() == sub.tobytes()
     assert v.outcome is (Outcome.ENTANGLED if det < -TOL_EXACT else Outcome.INCONCLUSIVE)
+
+
+# -- the named inequalities: presets of the generic PT matrix -------------------
+
+
+@st.composite
+def _named_case(draw):
+    """A pure or rank-2 state of 2-3 modes, two distinct modes of it and, on three
+    modes, an ordering of all three."""
+    num_modes = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = tuple(draw(st.integers(2, 3)) for _ in range(num_modes))
+    mixed = draw(st.booleans())
+    state = random_density(rng, cuts, rank=2) if mixed else random_pure_state(rng, cuts)
+    order = tuple(draw(st.permutations(range(num_modes))))
+    return state, order[:2], order if num_modes == 3 else None
+
+
+def _named_witnesses(state, pair, triple) -> dict[str, np.ndarray]:
+    """The scalar witnesses of hz_two_mode and breuer_inequality on ``pair`` and, on
+    three modes, of both hz_three_mode variants on ``triple``, per criterion."""
+    verdicts = [hz_two_mode(state, pair), breuer_inequality_test(state, pair)]
+    if triple is not None:
+        verdicts += [hz_three_mode(state, variant, triple) for variant in (1, 2)]
+    return {v.criterion: np.array([x for x in v.witness.values() if isinstance(x, float)])
+            for v in verdicts}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_named_case(), st.booleans())
+def test_presets_match_the_moment_formulas(case, as_table):
+    state, pair, triple = case
+    source = complete_table(state, 2) if as_table else state
+    checks = [(hz_two_mode(source, pair), hz_two_mode_formula(source, pair))]
+    if triple is not None:
+        checks += [(hz_three_mode(source, variant, triple),
+                    hz_three_mode_formula(source, variant, triple)) for variant in (1, 2)]
+    for verdict, formula in checks:
+        assert verdict.witness.keys() == formula.keys()
+        scale = max(1.0, *(abs(x) for x in formula.values()))
+        for key, value in formula.items():
+            assert abs(verdict.witness[key] - value) <= 1e-12 * scale, (verdict.criterion, key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_named_case(), st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3))
+def test_named_inequalities_invariant_under_local_phase_rotations(case, phases):
+    # psi -> exp(-i sum_q phi_q n_q) psi multiplies each moment by a phase.  The
+    # number-correlation witnesses are moduli of single moments; the time-reversal
+    # witness adds <N_a b> to <a^dag b>, whose phases differ by phi_a, so it holds
+    # only under rotations that leave mode a alone.
+    state, pair, triple = case
+    phases = np.array(phases[: state.num_modes])
+    fixed_a = np.where(np.arange(state.num_modes) == pair[0], 0.0, phases)
+    rotated = _named_witnesses(rotate_phases(state, phases), pair, triple)
+    rotated["breuer_inequality"] = _named_witnesses(
+        rotate_phases(state, fixed_a), pair, triple)["breuer_inequality"]
+    for name, values in _named_witnesses(state, pair, triple).items():
+        np.testing.assert_allclose(rotated[name], values, rtol=0, atol=1e-10, err_msg=name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_named_case(), st.data())
+def test_named_inequalities_invariant_under_permuting_the_modes(case, data):
+    state, pair, triple = case
+    perm = data.draw(st.permutations(range(state.num_modes)))
+    moved = permute_modes(state, perm)  # mode q of state is mode perm.index(q) of moved
+
+    def where(modes):
+        return None if modes is None else tuple(perm.index(q) for q in modes)
+
+    expected = _named_witnesses(state, pair, triple)
+    for name, values in _named_witnesses(moved, where(pair), where(triple)).items():
+        np.testing.assert_allclose(values, expected[name], rtol=0, atol=1e-10, err_msg=name)

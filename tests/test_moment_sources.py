@@ -1,6 +1,5 @@
 """States and moment tables read through the one moments layer."""
 
-import itertools
 import json
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from momentcrit.moments import (
 from momentcrit.posmaps import stormer_map
 from momentcrit.sampling import random_density
 from momentcrit import states
-from oracles import monomial_matrix
+from oracles import complete_table, monomial_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -57,17 +56,6 @@ CRITERIA = {
     "breuer_inequality": breuer_inequality_test,
     "breuer_bell": breuer_bell_test,
 }
-
-
-def _complete_table(state, max_power: int = 6) -> TableSource:
-    """Every two-mode moment with powers below max_power, computed from the state."""
-    powers = list(itertools.product(range(max_power), repeat=2))
-    table = {
-        Monomial((pa, pb)): moment(state, Monomial((pa, pb)))
-        for pa in powers
-        for pb in powers
-    }
-    return TableSource(table, 2, label="table")
 
 
 _factor = st.integers(1, 2).flatmap(
@@ -117,7 +105,7 @@ def _witness_gap(a: dict, b: dict) -> float:
 def test_complete_table_matches_density_on_every_criterion(dims):
     rng = np.random.default_rng(sum(dims))
     state = random_density(rng, dims)
-    table = _complete_table(state)
+    table = complete_table(state, 6)
     for name, criterion in CRITERIA.items():
         from_state, from_table = criterion(state), criterion(table)
         assert from_table.outcome is from_state.outcome, name
@@ -126,7 +114,7 @@ def test_complete_table_matches_density_on_every_criterion(dims):
 
 def test_op_expectation_on_table_matches_state():
     singlet = states.singlet()
-    table = _complete_table(singlet, max_power=4)
+    table = complete_table(singlet, 4)
     num_a = Monomial.from_string("Aa", 2)
     factors = (num_a, Monomial.from_string("b", 2), num_a.dagger(), Monomial.from_string("B", 2))
     assert abs(op_expectation(table, factors) - op_expectation(singlet, factors)) < 1e-12
@@ -139,6 +127,20 @@ def test_missing_monomial_is_named():
     with pytest.raises(MissingMomentError) as err:
         breuer_inequality_test(table)
     assert err.value.missing == ["AABaab"]
+
+
+def test_hz_two_mode_needs_only_the_formula_moments_and_the_normalization():
+    # the five moments of <N_a N_b> - |<a b^dag>|^2 and <N_a><N_b> - |<a b>|^2, plus the
+    # "1" that the (1, ab) PT matrix reads in its corner
+    singlet = states.singlet()
+    specs = [Monomial.from_string(t, 2) for t in ("1", "AaBb", "aB", "Aa", "Bb", "ab")]
+    expected = hz_two_mode(singlet)
+    verdict = hz_two_mode(TableSource({s: moment(singlet, s) for s in specs}, 2))
+    assert verdict.outcome is expected.outcome
+    assert _witness_gap(expected.witness, verdict.witness) <= 1e-12
+    with pytest.raises(MissingMomentError) as err:
+        hz_two_mode(TableSource({s: moment(singlet, s) for s in specs[1:]}, 2))
+    assert err.value.missing == ["1"]
 
 
 def test_missing_monomials_of_a_matrix_are_listed_together():

@@ -29,6 +29,7 @@ from oracles import (
     HermitianOperator,
     dense_gram,
     dense_moment,
+    explicit_pt_gram,
     flatten_index,
     partial_transpose_fock,
     product_state_factorization,
@@ -118,16 +119,16 @@ def test_moment_matrix_psd_for_states():
 def test_generic_matrix_trivial_class():
     g = GenericClass.from_strings(["1"])
     for state in (states.singlet(), states.bell_phi_plus()):
-        for flag in (False, True):
-            m = build_generic_moment_matrix(state, g, conjugate_b_modes=flag)
-            np.testing.assert_allclose(m.entries, [[1.0]], atol=1e-14)
+        np.testing.assert_allclose(_gram_moments(state, g.ops), [[1.0]], atol=1e-14)
+        m = build_generic_moment_matrix(state, g)
+        np.testing.assert_allclose(m.entries, [[1.0]], atol=1e-14)
 
 
 def test_generic_pt_fixture_values():
     g = GenericClass.from_strings(["1", "ab"])
-    m = build_generic_moment_matrix(states.singlet(), g, conjugate_b_modes=True)
+    m = build_generic_moment_matrix(states.singlet(), g)
     np.testing.assert_allclose(m.entries, [[1, -0.5], [-0.5, 0]], atol=1e-14)
-    m2 = build_generic_moment_matrix(states.partial_example2(), g, conjugate_b_modes=True)
+    m2 = build_generic_moment_matrix(states.partial_example2(), g)
     np.testing.assert_allclose(m2.entries, [[1, 1 / 3], [1 / 3, 0]], atol=1e-14)
 
 
@@ -137,9 +138,9 @@ def test_generic_pt_differs_from_naive_reorderings():
     # the B-mode exchange pairs the row and column monomials of each entry.
     g = GenericClass.from_strings(["1", "ab"])
     singlet = states.singlet()
-    plain = build_generic_moment_matrix(singlet, g, conjugate_b_modes=False)
-    swapped = build_generic_moment_matrix(singlet, g, conjugate_b_modes=True)
-    assert abs(plain.entries[0, 1]) < 1e-14            # <ab> = 0
+    plain = _gram_moments(singlet, g.ops)
+    swapped = build_generic_moment_matrix(singlet, g)
+    assert abs(plain[0, 1]) < 1e-14                    # <ab> = 0
     assert abs(swapped.entries[0, 1] + 0.5) < 1e-14    # <a b^dag> = -1/2
     # diagonal stays <N_a N_b> = 0; a per-monomial swap would give
     # <(a b^dag)^dag (a b^dag)> = 1/2 here
@@ -184,9 +185,9 @@ def test_pt_of_product_state_is_psd():
 
 
 def test_pt_index_swap_equals_generic_b_conjugation():
-    # Dual route: the index-swap PT of a tensor class must equal the generic
-    # construction that exchanges B-mode powers inside each product, with the
-    # flattened operator list.  The two paths share no arithmetic.
+    # Three routes: the index-swap PT of a tensor class, the generic gather from
+    # the Gram matrix of the products A_k B_l over the flattened operator list,
+    # and dense moments of the explicitly partially transposed state.
     rng = np.random.default_rng(7)
     cls = OperatorClass.from_strings(["1", "a", "Aa"], ["1", "b", "Bb"])
     flat = GenericClass(cls.flat_ops(), cls.modes_a, cls.modes_b)
@@ -197,8 +198,42 @@ def test_pt_index_swap_equals_generic_b_conjugation():
             else random_pure_state(rng, (3, 3))
         )
         pt = build_pt_moment_matrix(state, cls)
-        generic = build_generic_moment_matrix(state, flat, conjugate_b_modes=True)
+        generic = build_generic_moment_matrix(state, flat)
         np.testing.assert_allclose(pt.entries, generic.entries, atol=1e-10)
+        np.testing.assert_allclose(generic.entries, explicit_pt_gram(state, flat), atol=1e-10)
+
+
+@st.composite
+def _generic_case(draw):
+    """A 2- or 3-mode pure or mixed state, and a generic class with a repeated row over a
+    random bipartition."""
+    modes = draw(st.integers(2, 3))
+    cutoffs = tuple(draw(st.integers(2, 3)) for _ in range(modes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        state = random_pure_state(rng, cutoffs)
+    else:
+        state = random_density(rng, cutoffs, rank=draw(st.integers(1, 3)))
+    # annihilation powers below the cutoff, so few rows kill the state; the dense
+    # oracle's padded space stays at most 6 levels per mode
+    power = st.tuples(st.integers(0, 2), st.integers(0, 1))
+    pool = draw(st.lists(st.tuples(*[power] * modes), min_size=2, max_size=4, unique=True))
+    repeats = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+    rows = draw(st.permutations(pool + repeats))
+    split = draw(st.integers(1, modes - 1))
+    order = draw(st.permutations(range(modes)))
+    cls = GenericClass(tuple(Monomial(p) for p in rows), tuple(order[:split]), tuple(order[split:]))
+    return state, cls
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generic_case())
+def test_generic_pt_matrix_matches_explicit_partial_transpose(case):
+    state, cls = case
+    expected = explicit_pt_gram(state, cls)
+    actual = build_generic_moment_matrix(state, cls).entries
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(actual - expected)) <= bound
 
 
 def test_principal_submatrix_selection():
@@ -252,7 +287,7 @@ def _shift_case(draw):
         pool = draw(st.lists(st.tuples(*[_power] * modes), min_size=1, max_size=3))
         rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
         ops = tuple(Monomial(p) for p in rows)
-        cls = None if modes == 1 else GenericClass(ops, (0,), b_modes)
+        cls = None
     else:
         rest = ((0, 0),) * (modes - 1)
         pool_a = draw(st.lists(_power, min_size=1, max_size=2))
@@ -281,10 +316,8 @@ def test_shift_engine_matches_padded_dense_oracle(case):
     expected = dense_gram(source, ops)
     if cls is None:
         actual = _gram_moments(source, ops)
-    elif isinstance(cls, OperatorClass):
-        actual = build_moment_matrix(source, cls).entries
     else:
-        actual = build_generic_moment_matrix(source, cls).entries
+        actual = build_moment_matrix(source, cls).entries
     bound = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
     assert np.max(np.abs(actual - expected)) <= bound
     for op in set(ops):

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from momentcrit.criteria import pt_min_eig_test, pt_sylvester_test
 from momentcrit.errors import DegenerateStateError
-from momentcrit.fock import DensityMatrix, ModeCutoffs, StateVector
+from momentcrit.fock import ModeCutoffs, StateVector
 from momentcrit.moments import MomentMatrix, OperatorClass, build_moment_matrix
 from momentcrit.reorder import (
     nu_gamma,
@@ -19,7 +19,7 @@ from momentcrit.reorder import (
 )
 from momentcrit.sampling import random_density, random_pure_state, random_separable_mixture
 from momentcrit import states
-from oracles import brute_factor_transpose, brute_realignment
+from oracles import brute_factor_transpose, brute_realignment, permute_modes, rotate_phases
 
 STD = OperatorClass.from_strings(["1", "a"], ["1", "b"])
 
@@ -193,23 +193,12 @@ def _witnesses(state, side_a, side_b) -> np.ndarray:
     ])
 
 
-def _transformed(state, amplitudes, matrix, cutoffs):
-    """The state of the same kind carrying the given amplitude map and cutoffs."""
-    if isinstance(state, StateVector):
-        return StateVector(ModeCutoffs(cutoffs), amplitudes(state.amplitudes))
-    return DensityMatrix(ModeCutoffs(cutoffs), matrix(state.matrix))
-
-
 @settings(max_examples=60, deadline=None)
 @given(_state_and_class(), st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
 def test_witnesses_invariant_under_local_phase_rotations(case, phi, theta):
     # psi(n_a, n_b) -> exp(-i(phi n_a + theta n_b)) psi changes M by a diagonal unitary
     state, side_a, side_b = case
-    c_a, c_b = state.cutoffs.cutoffs
-    u = np.exp(-1j * (phi * np.arange(c_a)[:, None] + theta * np.arange(c_b))).reshape(-1)
-    rotated = _transformed(state, lambda psi: u * psi,
-                           lambda rho: u[:, None] * rho * u.conj(), (c_a, c_b))
-    np.testing.assert_allclose(_witnesses(rotated, side_a, side_b),
+    np.testing.assert_allclose(_witnesses(rotate_phases(state, (phi, theta)), side_a, side_b),
                                _witnesses(state, side_a, side_b), rtol=0, atol=1e-10)
 
 
@@ -217,14 +206,7 @@ def test_witnesses_invariant_under_local_phase_rotations(case, phi, theta):
 @given(_state_and_class())
 def test_witnesses_invariant_under_swapping_the_modes_with_the_class_sides(case):
     state, side_a, side_b = case
-    c_a, c_b = state.cutoffs.cutoffs
-    d = c_a * c_b
-    swapped = _transformed(
-        state,
-        lambda psi: psi.reshape(c_a, c_b).T.reshape(-1),
-        lambda rho: rho.reshape(c_a, c_b, c_a, c_b).transpose(1, 0, 3, 2).reshape(d, d),
-        (c_b, c_a),
-    )
+    swapped = permute_modes(state, (1, 0))
     np.testing.assert_allclose(
         _witnesses(swapped, [t.translate(_SWAP) for t in side_b],
                    [t.translate(_SWAP) for t in side_a]),

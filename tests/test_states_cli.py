@@ -228,6 +228,22 @@ def test_cli_config_error_diagnostics(tmp_path, capsys):
          "criteria[0] (pt_sylvester) key 'max_minor_size': expected an integer >= 1"),
         ({"criteria": [{"name": "pt_sylvester", "r_list": []}]},
          "criteria[0] (pt_sylvester) key 'r_list': expected a nonempty list"),
+        ({"criteria": [{"name": "pt_sylvester", "r": []}]},
+         "criteria[0] (pt_sylvester) key 'r': expected a nonempty list of row indices"),
+        ({"criteria": [{"name": "pt_sylvester", "r_list": [[1, 4], []]}]},
+         "criteria[0] (pt_sylvester) key 'r_list': expected a nonempty list of row indices"),
+        ({"criteria": [{"name": "map", "map": {"kind": "stormer"}, "r": []}]},
+         "criteria[0] (map) key 'r': expected a nonempty list of row indices"),
+        ({"criteria": [{"name": "generic_pt_det", "class": {"ops": ["1", "ab"]}, "r": []}]},
+         "criteria[0] (generic_pt_det) key 'r': expected a nonempty list of row indices"),
+        ({"criteria": [{"name": "hz_two_mode", "modes": [0]}]},
+         "criteria[0] (hz_two_mode) key 'modes': expected 2 modes, got (0,)"),
+        ({"criteria": [{"name": "breuer_inequality", "modes": [0, 1, 2]}]},
+         "criteria[0] (breuer_inequality) key 'modes': expected 2 modes, got (0, 1, 2)"),
+        ({"criteria": [{"name": "hz_three_mode", "modes": [0, 1]}]},
+         "criteria[0] (hz_three_mode) key 'modes': expected 3 modes, got (0, 1)"),
+        ({"criteria": [{"name": "hz_three_mode", "variant": 3}]},
+         "criteria[0] (hz_three_mode) key 'variant': expected 1 or 2, got 3"),
     ],
 )
 def test_cli_rejects_bad_config_before_running(tmp_path, capsys, change, named):
