@@ -53,7 +53,6 @@ from .posmaps import (
     stormer_map,
 )
 from .criteria import (
-    Bipartition,
     Outcome,
     Verdict,
     breuer_bell_test,

@@ -102,6 +102,21 @@ def _negativity_verdict(
     )
 
 
+def _norm_verdict(
+    value: float, tol: float, criterion: str, witness: dict, provenance: dict
+) -> Verdict:
+    """ENTANGLED iff value > 1 + tol; boundary flags |value - 1| <= tol.  The threshold is 1."""
+    return Verdict(
+        criterion=criterion,
+        outcome=Outcome.ENTANGLED if value > 1.0 + tol else Outcome.INCONCLUSIVE,
+        witness=witness,
+        threshold=1.0,
+        tol=tol,
+        boundary=abs(value - 1.0) <= tol,
+        provenance=provenance,
+    )
+
+
 def min_eig_test(
     matrix: np.ndarray | MomentMatrix,
     tol: float = TOL_EXACT,
@@ -234,14 +249,9 @@ def _norm_test(
     tol = resolve_tol(state, tol)
     m = build_moment_matrix(state, cls)
     value = norm(m)
-    return Verdict(
-        criterion=criterion,
-        outcome=Outcome.ENTANGLED if value > 1.0 + tol else Outcome.INCONCLUSIVE,
-        witness={key: value, "moment_matrix": m.entries},
-        threshold=1.0,
-        tol=tol,
-        boundary=abs(value - 1.0) <= tol,
-        provenance={"class": cls.describe(), "state": getattr(state, "label", "state")},
+    return _norm_verdict(
+        value, tol, criterion, {key: value, "moment_matrix": m.entries},
+        {"class": cls.describe(), "state": getattr(state, "label", "state")},
     )
 
 
@@ -492,30 +502,3 @@ def sv_cat_state_test(state: State, tol: float | None = None) -> Verdict:
         raise DimensionError("this witness is defined for two-mode states")
     cls = GenericClass.from_strings(["1", "b", "ab"], modes_a=(0,), modes_b=(1,))
     return generic_pt_det_test(state, cls, tol=tol, criterion="sv_cat")
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Builder for classes over the bipartition {mode j} vs all other modes."""
-
-    num_modes: int
-    mode_a: int
-
-    def __post_init__(self):
-        if self.num_modes < 2:
-            raise DimensionError("a bipartition needs at least two modes")
-        if not 0 <= self.mode_a < self.num_modes:
-            raise DimensionError("distinguished mode out of range")
-
-    @property
-    def modes_a(self) -> tuple[int, ...]:
-        return (self.mode_a,)
-
-    @property
-    def modes_b(self) -> tuple[int, ...]:
-        return tuple(q for q in range(self.num_modes) if q != self.mode_a)
-
-    def generic_class(self, ops: list[str]) -> GenericClass:
-        return GenericClass.from_strings(
-            ops, self.modes_a, self.modes_b, num_modes=self.num_modes
-        )

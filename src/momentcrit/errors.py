@@ -17,7 +17,7 @@ class InsufficientCutoffError(ValueError):
         self.cutoff = cutoff
         self.required = required
         super().__init__(
-            f"mode {mode}: cutoff {cutoff} leaves norm deficit {deficit:.3e} > eps {eps:.3e}; "
+            f"mode {mode}: cutoff {cutoff} leaves norm deficit {deficit:.3e} >= eps {eps:.3e}; "
             f"cutoff >= {required} is required"
         )
 

@@ -12,6 +12,7 @@ function, so values may be shared freely between threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -163,6 +164,8 @@ class StateVector:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         _check_amplitude_length(amps, self.cutoffs)
+        if not np.isfinite(amps).all():
+            raise ValueError("state amplitudes must be finite; got NaN or infinity")
         norm = float(np.linalg.norm(amps))
         if norm < 1e-12:
             raise DegenerateStateError("state vector has (numerically) zero norm")
@@ -197,6 +200,8 @@ class DensityMatrix:
         d = self.cutoffs.total_dimension
         if mat.shape != (d, d):
             raise DimensionError(f"matrix shape {mat.shape} does not match dimension {d}")
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix entries must be finite; got NaN or infinity")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(mat).real - 1.0) > 1e-12 or abs(np.trace(mat).imag) > 1e-12:
@@ -269,21 +274,26 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return amps
 
 
+def _poisson_tails(alpha: complex):
+    """Truncation deficits 1 - sum_{n < c} e^{-|alpha|^2} |alpha|^{2n} / n! for c = 0, 1, ..."""
+    n2 = abs(alpha) ** 2
+    cumulative, term = 0.0, math.exp(-n2)
+    for c in itertools.count(1):
+        yield 1.0 - cumulative
+        cumulative += term
+        term = term * n2 / c
+
+
 def coherent_truncation_deficit(alpha: complex, cutoff: int) -> float:
     """Probability weight of the removed tail of a coherent state."""
-    return max(0.0, 1.0 - float(np.linalg.norm(coherent_amplitudes(alpha, cutoff)) ** 2))
+    return max(0.0, next(itertools.islice(_poisson_tails(alpha), cutoff, None)))
 
 
 def required_coherent_cutoff(alpha: complex, eps: float, cap: int = DENSE_DIMENSION_CAP) -> int:
     """Smallest cutoff whose truncation deficit is below eps."""
-    weight = math.exp(-abs(alpha) ** 2)
-    cumulative = 0.0
-    term = weight
-    for c in range(1, cap + 1):
-        cumulative += term
-        if 1.0 - cumulative < eps:
+    for c, deficit in itertools.islice(enumerate(_poisson_tails(alpha)), 1, cap + 1):
+        if deficit < eps:
             return c
-        term = term * abs(alpha) ** 2 / c
     raise DimensionError(f"no cutoff below {cap} meets eps={eps} for |alpha|={abs(alpha)}")
 
 
@@ -317,7 +327,7 @@ def make_coherent_superposition(
     for _, alphas in terms:
         for q, alpha in enumerate(alphas):
             deficit = coherent_truncation_deficit(alpha, cutoffs.cutoffs[q])
-            if deficit > eps:
+            if not deficit < eps:
                 raise InsufficientCutoffError(
                     mode=q,
                     cutoff=cutoffs.cutoffs[q],

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,7 +187,6 @@ class MomentMatrix:
     entries: np.ndarray
     d_a: int | None = None
     d_b: int | None = None
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -212,10 +211,11 @@ class MomentMatrix:
 class TableSource:
     """Moment source backed by an explicit table {Monomial: value}.
 
-    Conjugate consistency is validated: whenever a spec and its adjoint both
-    appear, their values must be complex conjugates within 1e-10.  ``dims``
-    optionally records the per-mode dimensions of the measured state, which
-    reconstruction needs and never infers.
+    Every value must be finite, and conjugate consistency is validated:
+    whenever a spec and its adjoint both appear, their values must be complex
+    conjugates within 1e-10.  ``dims`` optionally records the per-mode
+    dimensions of the measured state, which reconstruction needs and never
+    infers.
     """
 
     def __init__(
@@ -226,6 +226,10 @@ class TableSource:
         self.label = label
         self.dims = None if dims is None else tuple(int(d) for d in dims)
         for spec, value in self.table.items():
+            if not np.isfinite(value):
+                raise InconsistentMomentsError(
+                    f"moment table value for {spec.to_string()} is not finite: {value}"
+                )
             partner = self.table.get(spec.dagger())
             if partner is not None and abs(partner - value.conjugate()) > 1e-10:
                 raise InconsistentMomentsError(
@@ -381,13 +385,7 @@ def build_moment_matrix(state: State | TableSource, cls: OperatorClass) -> Momen
     """Moment matrix over the flattened tensor-product class."""
     if cls.num_modes != state.num_modes:
         raise DimensionError("operator class and state disagree on the number of modes")
-    entries = _gram_moments(state, cls.flat_ops())
-    return MomentMatrix(
-        entries,
-        cls.d_a,
-        cls.d_b,
-        provenance={"class": cls.describe(), "state": getattr(state, "label", "state")},
-    )
+    return MomentMatrix(_gram_moments(state, cls.flat_ops()), cls.d_a, cls.d_b)
 
 
 @functools.lru_cache(maxsize=256)
@@ -422,9 +420,7 @@ def build_generic_moment_matrix(state: State | TableSource, cls: GenericClass) -
             state, (products[idx[i, j]].dagger(), products[idx[j, i]])))
     else:
         entries = _gram_moments(state, products)[idx, idx.T]
-    return MomentMatrix(
-        entries, provenance={"class": cls.describe(), "state": getattr(state, "label", "state")}
-    )
+    return MomentMatrix(entries)
 
 
 def principal_submatrix(

@@ -14,11 +14,12 @@ raises instead of returning garbage.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
-from .criteria import Outcome, Verdict, resolve_tol
+from .criteria import Outcome, Verdict, _norm_verdict, min_eig_test, resolve_tol
 from .errors import DimensionError, InconsistentMomentsError, SeriesDivergenceError
 from .fock import DensityMatrix, ModeCutoffs, Monomial, State
 from .moments import TableSource, moment
@@ -28,6 +29,8 @@ _NON_DECAY_RUN = 5
 # Truncating a borderline source shaves each term by a whisker, so "no decay"
 # is judged with a small relative margin rather than a strict >= comparison.
 _NON_DECAY_MARGIN = 1e-6
+# How far a reconstructed matrix may miss Hermiticity, unit trace and positivity.
+_DENSITY_TOL = 1e-8
 
 
 def density_element(
@@ -91,12 +94,7 @@ def density_element(
     return total
 
 
-def reconstruct_density(
-    source: State | TableSource,
-    dims: tuple[int, ...],
-    validate_tol: float = 1e-8,
-    label: str | None = None,
-) -> DensityMatrix:
+def reconstruct_density(source: State | TableSource, dims: tuple[int, ...]) -> DensityMatrix:
     """Full density matrix via the general series, element by element."""
     dims = tuple(int(d) for d in dims)
     cutoffs = ModeCutoffs(dims)
@@ -110,7 +108,7 @@ def reconstruct_density(
             value = density_element(source, occ_i, occ_j, dims)
             rho[i, j] = value
             rho[j, i] = value.conjugate()
-    return _validated_density(rho, cutoffs, validate_tol, label or source.label)
+    return _validated_density(rho, cutoffs, source.label)
 
 
 # Entry table for the two-qubit closed form: per-mode factors keyed by the
@@ -124,11 +122,7 @@ _QUBIT_FACTORS = {
 }
 
 
-def two_qubit_density(
-    source: State | TableSource,
-    validate_tol: float = 1e-8,
-    label: str | None = None,
-) -> DensityMatrix:
+def two_qubit_density(source: State | TableSource) -> DensityMatrix:
     """Two-qubit density matrix assembled from 16 moment combinations.
 
     Every entry is a product over the two modes of {1-N, a^dag, a, N}
@@ -155,17 +149,14 @@ def two_qubit_density(
                 for cb, pb in _QUBIT_FACTORS[(n1, n2)]:
                     total += ca * cb * moment(source, Monomial((pa, pb)))
             rho[i, j] = total
-    cutoffs = ModeCutoffs((2, 2))
-    return _validated_density(rho, cutoffs, validate_tol, label or source.label)
+    return _validated_density(rho, ModeCutoffs((2, 2)), source.label)
 
 
-def _validated_density(
-    rho: np.ndarray, cutoffs: ModeCutoffs, tol: float, label: str
-) -> DensityMatrix:
+def _validated_density(rho: np.ndarray, cutoffs: ModeCutoffs, label: str) -> DensityMatrix:
     herm = np.max(np.abs(rho - rho.conj().T))
     tr = np.trace(rho)
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
-    if herm > tol or abs(tr - 1.0) > tol or min_eig < -tol:
+    if herm > _DENSITY_TOL or abs(tr - 1.0) > _DENSITY_TOL or min_eig < -_DENSITY_TOL:
         raise InconsistentMomentsError(
             "reconstructed matrix violates density-matrix constraints: "
             f"hermiticity defect {herm:.2e}, trace {tr:.6f}, min eigenvalue {min_eig:.2e}"
@@ -181,72 +172,32 @@ def _validated_density(
 
 
 def state_level_tests(
-    rho: DensityMatrix | np.ndarray,
+    rho: DensityMatrix,
     dims: tuple[int, int],
     tol: float | None = None,
 ) -> list[Verdict]:
     """PT and realignment tests applied directly to a density matrix.
 
     Returns verdicts for the PT minimum eigenvalue, the PT trace norm and
-    the realignment trace norm.  For 2x2 and 2x3 systems a PPT pass is
-    strengthened to SEPARABLE; everywhere else non-detection stays
-    INCONCLUSIVE.
+    the realignment trace norm, decided by the same rules as the moment
+    criteria.  For 2x2 and 2x3 systems a PPT pass is strengthened to
+    SEPARABLE; everywhere else non-detection stays INCONCLUSIVE.
     """
-    if isinstance(rho, DensityMatrix):
-        matrix = rho.matrix
-        exact = rho.exact
-        label = rho.label
-    else:
-        matrix = np.asarray(rho, dtype=complex)
-        exact = True
-        label = "density"
+    matrix = rho.matrix
     d_a, d_b = int(dims[0]), int(dims[1])
-    if d_a * d_b != matrix.shape[0] or matrix.shape[0] != matrix.shape[1]:
+    if d_a * d_b != matrix.shape[0]:
         raise DimensionError(f"dims {dims} do not factor the matrix size {matrix.shape}")
-    tol = resolve_tol(None, tol if tol is not None else (None if exact else 1e-6))
+    tol = resolve_tol(rho, tol)
+    prov = {"dims": (d_a, d_b), "state": rho.label}
     # State flattening is mode-major: A is the slow factor here.
     pt = transpose_factor(matrix, d_a, d_b, "fast")
-    min_eig = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
+    eig = min_eig_test(pt, tol, "state_pt_min_eig", prov)
+    if not eig.entangled and sorted((d_a, d_b)) in ([2, 2], [2, 3]):
+        eig = dataclasses.replace(eig, outcome=Outcome.SEPARABLE)
     pt_norm = trace_norm(pt)
-    realigned = realign_blocks(matrix, d_a, d_b)
-    realign_norm = trace_norm(realigned)
-    prov = {"dims": (d_a, d_b), "state": label}
-
-    ppt_holds = min_eig >= -tol
-    small_system = sorted((d_a, d_b)) in ([2, 2], [2, 3])
-    if not ppt_holds:
-        eig_outcome = Outcome.ENTANGLED
-    elif small_system:
-        eig_outcome = Outcome.SEPARABLE
-    else:
-        eig_outcome = Outcome.INCONCLUSIVE
-    verdicts = [
-        Verdict(
-            criterion="state_pt_min_eig",
-            outcome=eig_outcome,
-            witness={"min_eigenvalue": min_eig, "matrix": pt},
-            threshold=0.0,
-            tol=tol,
-            boundary=abs(min_eig) <= tol,
-            provenance=prov,
-        ),
-        Verdict(
-            criterion="state_pt_norm",
-            outcome=Outcome.ENTANGLED if pt_norm > 1.0 + tol else Outcome.INCONCLUSIVE,
-            witness={"trace_norm": pt_norm},
-            threshold=1.0,
-            tol=tol,
-            boundary=abs(pt_norm - 1.0) <= tol,
-            provenance=prov,
-        ),
-        Verdict(
-            criterion="state_realign_norm",
-            outcome=Outcome.ENTANGLED if realign_norm > 1.0 + tol else Outcome.INCONCLUSIVE,
-            witness={"trace_norm": realign_norm},
-            threshold=1.0,
-            tol=tol,
-            boundary=abs(realign_norm - 1.0) <= tol,
-            provenance=prov,
-        ),
+    realign_norm = trace_norm(realign_blocks(matrix, d_a, d_b))
+    return [
+        eig,
+        _norm_verdict(pt_norm, tol, "state_pt_norm", {"trace_norm": pt_norm}, prov),
+        _norm_verdict(realign_norm, tol, "state_realign_norm", {"trace_norm": realign_norm}, prov),
     ]
-    return verdicts

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import states
 from .criteria import (
-    Bipartition,
     Outcome,
     Verdict,
     breuer_bell_test,
@@ -172,9 +171,11 @@ def fixtures() -> list[Fixture]:
     b_bell = _run(breuer_bell_test, states.bell_phi_plus)
     fock11_hz = _run(hz_two_mode, lambda: states.fock((1, 1)))
     w_v1 = _run(hz_three_mode, _w_like, variant=1)
-    w_generic = _run(generic_pt_det_test, _w_like, Bipartition(3, 0).generic_class(["1", "abc"]))
+    w_generic = _run(generic_pt_det_test, _w_like,
+                     GenericClass.from_strings(["1", "abc"], (0,), (1, 2)))
     ghz_v2 = _run(hz_three_mode, ghz, variant=2)
-    ghz_generic = _run(generic_pt_det_test, ghz, Bipartition(3, 0).generic_class(["a", "bc"]))
+    ghz_generic = _run(generic_pt_det_test, ghz,
+                       GenericClass.from_strings(["a", "bc"], (0,), (1, 2)))
     ENT, INC = Outcome.ENTANGLED, Outcome.INCONCLUSIVE
     choi = choi_map(ChoiParams(2.5, 0.4, 0.3))
     diag123 = np.diag([1.0, 2.0, 3.0])

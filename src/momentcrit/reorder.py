@@ -20,6 +20,9 @@ from .errors import DegenerateStateError, DimensionError
 from .moments import MomentMatrix, OperatorClass, TableSource, build_moment_matrix
 from .fock import State
 
+# Singular values below this fraction of the largest are rank-deficiency noise.
+_SVD_REL_FLOOR = 1e-13
+
 
 def _blocks(matrix: np.ndarray, d_slow: int, d_fast: int) -> np.ndarray:
     m = np.asarray(matrix)
@@ -54,12 +57,12 @@ def realign_blocks(matrix: np.ndarray, d_slow: int, d_fast: int) -> np.ndarray:
     return four.transpose(0, 2, 1, 3).reshape(d_slow * d_slow, d_fast * d_fast)
 
 
-def trace_norm(matrix: np.ndarray, rel_floor: float = 1e-13) -> float:
+def trace_norm(matrix: np.ndarray) -> float:
     """Sum of singular values, with a relative floor on rank-deficient noise."""
     s = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0.0
-    return float(np.sum(s[s > rel_floor * s[0]]))
+    return float(np.sum(s[s > _SVD_REL_FLOOR * s[0]]))
 
 
 def partial_transpose(m: MomentMatrix, side: str = "A") -> MomentMatrix:
@@ -75,11 +78,7 @@ def partial_transpose(m: MomentMatrix, side: str = "A") -> MomentMatrix:
         out = transpose_factor(m.entries, m.d_b, m.d_a, "slow")
     else:
         raise ValueError("side must be 'A' or 'B'")
-    return dataclasses.replace(
-        m,
-        entries=out,
-        provenance={**m.provenance, "transformed": f"pt_{side}"},
-    )
+    return dataclasses.replace(m, entries=out)
 
 
 def realign(m: MomentMatrix) -> np.ndarray:

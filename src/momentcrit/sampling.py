@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import DensityMatrix, ModeCutoffs, StateVector, make_coherent_superposition, mix
+from .fock import (
+    DensityMatrix,
+    ModeCutoffs,
+    StateVector,
+    make_coherent_superposition,
+    mix,
+    required_coherent_cutoff,
+)
 
 
 def random_pure_state(
@@ -56,16 +63,19 @@ def random_separable_mixture(
     )
 
 
+def _coherent_pair(rng: np.random.Generator, max_amp: float) -> tuple[complex, complex]:
+    """Two amplitudes with real and imaginary parts uniform in [-max_amp, max_amp]."""
+    return tuple(
+        complex(rng.uniform(-max_amp, max_amp), rng.uniform(-max_amp, max_amp)) for _ in range(2)
+    )
+
+
 def random_coherent_product(
     rng: np.random.Generator, max_amp: float = 0.6, eps: float = 1e-10
 ) -> StateVector:
     """Truncated coherent product state |alpha>|beta>; separable, not exact."""
-    alphas = tuple(
-        complex(rng.uniform(-max_amp, max_amp), rng.uniform(-max_amp, max_amp))
-        for _ in range(2)
-    )
     return make_coherent_superposition(
-        [(1.0, alphas)], eps=eps, label="random_coherent_product"
+        [(1.0, _coherent_pair(rng, max_amp))], eps=eps, label="random_coherent_product"
     )
 
 
@@ -73,24 +83,12 @@ def random_coherent_separable_mixture(
     rng: np.random.Generator, terms: int = 3, max_amp: float = 0.6, eps: float = 1e-10
 ) -> DensityMatrix:
     """Mixture of coherent products on a shared cutoff; separable, not exact."""
-    draws = [
-        tuple(
-            complex(rng.uniform(-max_amp, max_amp), rng.uniform(-max_amp, max_amp))
-            for _ in range(2)
-        )
-        for _ in range(terms)
-    ]
-    states = [
-        make_coherent_superposition([(1.0, alphas)], eps=eps, label="component")
-        for alphas in draws
-    ]
-    target = tuple(
-        max(s.cutoffs.cutoffs[q] for s in states) for q in range(2)
-    )
-    rebuilt = [
+    draws = [_coherent_pair(rng, max_amp) for _ in range(terms)]
+    target = tuple(max(required_coherent_cutoff(a[q], eps) for a in draws) for q in range(2))
+    components = [
         make_coherent_superposition([(1.0, alphas)], cutoffs=target, eps=eps, label="component")
         for alphas in draws
     ]
     weights = rng.random(terms) + 0.05
-    return mix(list(zip(weights, rebuilt)), label="random_coherent_mixture")
+    return mix(list(zip(weights, components)), label="random_coherent_mixture")
 

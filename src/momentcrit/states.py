@@ -15,37 +15,36 @@ from .fock import (
 )
 
 
+def _fock_superposition(
+    kets: list[tuple[float, tuple[int, ...]]], cutoff: int | None, label: str
+) -> StateVector:
+    """Normalized sum of basis kets, each mode cut at ``cutoff`` (default 2)."""
+    cuts = ModeCutoffs((cutoff or 2,) * len(kets[0][1]))
+    return superpose([(c, make_fock_state(occ, cuts)) for c, occ in kets], label=label)
+
+
 def singlet(cutoff: int | None = None) -> StateVector:
     """(|01> - |10>) / sqrt(2)."""
-    c = cutoff or 2
-    cuts = ModeCutoffs((c, c))
-    return superpose(
-        [(1.0, make_fock_state((0, 1), cuts)), (-1.0, make_fock_state((1, 0), cuts))],
-        label="singlet",
-    )
+    return _fock_superposition([(1.0, (0, 1)), (-1.0, (1, 0))], cutoff, "singlet")
 
 
 def bell_phi_plus(cutoff: int | None = None) -> StateVector:
     """(|00> + |11>) / sqrt(2)."""
-    c = cutoff or 2
-    cuts = ModeCutoffs((c, c))
-    return superpose(
-        [(1.0, make_fock_state((0, 0), cuts)), (1.0, make_fock_state((1, 1), cuts))],
-        label="bell_phi_plus",
-    )
+    return _fock_superposition([(1.0, (0, 0)), (1.0, (1, 1))], cutoff, "bell_phi_plus")
 
 
 def partial_example2(cutoff: int | None = None) -> StateVector:
     """(|00> + |01> + |10>) / sqrt(3), a partially entangled two-mode state."""
-    c = cutoff or 2
-    cuts = ModeCutoffs((c, c))
-    return superpose(
-        [
-            (1.0, make_fock_state((0, 0), cuts)),
-            (1.0, make_fock_state((0, 1), cuts)),
-            (1.0, make_fock_state((1, 0), cuts)),
-        ],
-        label="partial_example2",
+    return _fock_superposition(
+        [(1.0, (0, 0)), (1.0, (0, 1)), (1.0, (1, 0))], cutoff, "partial_example2"
+    )
+
+
+def _two_mode_coherent(name, terms, alpha, beta, cutoff, epsilon) -> StateVector:
+    """Coherent superposition cut at ``cutoff`` per mode, or where epsilon allows."""
+    return make_coherent_superposition(
+        terms, cutoffs=(cutoff, cutoff) if cutoff else None, eps=epsilon,
+        label=f"{name}(alpha={alpha}, beta={beta})",
     )
 
 
@@ -53,63 +52,36 @@ def cat_prime(
     alpha: complex = 0.3, beta: complex = 0.2, cutoff: int | None = None, epsilon: float = 1e-10
 ) -> StateVector:
     """Two-mode coherent superposition |alpha, -beta> - |-alpha, beta>, normalized."""
-    cutoffs = (cutoff, cutoff) if cutoff else None
-    state = make_coherent_superposition(
-        [(1.0, (alpha, -beta)), (-1.0, (-alpha, beta))],
-        cutoffs=cutoffs,
-        eps=epsilon,
-        label=f"cat_prime(alpha={alpha}, beta={beta})",
-    )
-    return state
+    terms = [(1.0, (alpha, -beta)), (-1.0, (-alpha, beta))]
+    return _two_mode_coherent("cat_prime", terms, alpha, beta, cutoff, epsilon)
 
 
 def cat_double_prime(
     alpha: complex = 0.3, beta: complex = 0.2, cutoff: int | None = None, epsilon: float = 1e-10
 ) -> StateVector:
     """Two-mode coherent superposition |alpha, beta> - |-alpha, -beta>, normalized."""
-    cutoffs = (cutoff, cutoff) if cutoff else None
-    return make_coherent_superposition(
-        [(1.0, (alpha, beta)), (-1.0, (-alpha, -beta))],
-        cutoffs=cutoffs,
-        eps=epsilon,
-        label=f"cat_double_prime(alpha={alpha}, beta={beta})",
-    )
+    terms = [(1.0, (alpha, beta)), (-1.0, (-alpha, -beta))]
+    return _two_mode_coherent("cat_double_prime", terms, alpha, beta, cutoff, epsilon)
 
 
 def product_coherent(
     alpha: complex = 0.0, beta: complex = 0.0, cutoff: int | None = None, epsilon: float = 1e-10
 ) -> StateVector:
     """Separable two-mode coherent product |alpha>|beta>."""
-    cutoffs = (cutoff, cutoff) if cutoff else None
-    return make_coherent_superposition(
-        [(1.0, (alpha, beta))],
-        cutoffs=cutoffs,
-        eps=epsilon,
-        label=f"product_coherent(alpha={alpha}, beta={beta})",
+    return _two_mode_coherent(
+        "product_coherent", [(1.0, (alpha, beta))], alpha, beta, cutoff, epsilon
     )
 
 
 def ghz3(cutoff: int | None = None) -> StateVector:
     """(|000> + |111>) / sqrt(2)."""
-    c = cutoff or 2
-    cuts = ModeCutoffs((c, c, c))
-    return superpose(
-        [(1.0, make_fock_state((0, 0, 0), cuts)), (1.0, make_fock_state((1, 1, 1), cuts))],
-        label="ghz3",
-    )
+    return _fock_superposition([(1.0, (0, 0, 0)), (1.0, (1, 1, 1))], cutoff, "ghz3")
 
 
 def w3(cutoff: int | None = None) -> StateVector:
     """(|001> + |010> + |100>) / sqrt(3)."""
-    c = cutoff or 2
-    cuts = ModeCutoffs((c, c, c))
-    return superpose(
-        [
-            (1.0, make_fock_state((0, 0, 1), cuts)),
-            (1.0, make_fock_state((0, 1, 0), cuts)),
-            (1.0, make_fock_state((1, 0, 0), cuts)),
-        ],
-        label="w3",
+    return _fock_superposition(
+        [(1.0, (0, 0, 1)), (1.0, (0, 1, 0)), (1.0, (1, 0, 0))], cutoff, "w3"
     )
 
 
@@ -138,28 +110,28 @@ def thermal(nbar: float = 0.5, cutoff: int = 30) -> DensityMatrix:
 
 
 LIBRARY = {
-    "singlet": (singlet, "two-mode singlet (|01>-|10>)/sqrt(2)", ()),
-    "bell_phi_plus": (bell_phi_plus, "Bell state (|00>+|11>)/sqrt(2)", ()),
-    "partial_example2": (partial_example2, "(|00>+|01>+|10>)/sqrt(3)", ()),
-    "cat_prime": (cat_prime, "coherent superposition |a,-b> - |-a,b>", ("alpha", "beta")),
-    "cat_double_prime": (cat_double_prime, "coherent superposition |a,b> - |-a,-b>", ("alpha", "beta")),
-    "product_coherent": (product_coherent, "separable coherent product |a>|b>", ("alpha", "beta")),
-    "ghz3": (ghz3, "three-mode GHZ state", ()),
-    "w3": (w3, "three-mode W state", ()),
-    "fock": (fock, "basis ket |n_1,...,n_m>", ("occupations",)),
-    "thermal": (thermal, "single-mode thermal state", ("nbar", "cutoff")),
+    "singlet": (singlet, "two-mode singlet (|01>-|10>)/sqrt(2)"),
+    "bell_phi_plus": (bell_phi_plus, "Bell state (|00>+|11>)/sqrt(2)"),
+    "partial_example2": (partial_example2, "(|00>+|01>+|10>)/sqrt(3)"),
+    "cat_prime": (cat_prime, "coherent superposition |a,-b> - |-a,b>"),
+    "cat_double_prime": (cat_double_prime, "coherent superposition |a,b> - |-a,-b>"),
+    "product_coherent": (product_coherent, "separable coherent product |a>|b>"),
+    "ghz3": (ghz3, "three-mode GHZ state"),
+    "w3": (w3, "three-mode W state"),
+    "fock": (fock, "basis ket |n_1,...,n_m>"),
+    "thermal": (thermal, "single-mode thermal state"),
 }
 
 
 def list_states() -> dict[str, str]:
-    return {name: desc for name, (_, desc, _) in LIBRARY.items()}
+    return {name: desc for name, (_, desc) in LIBRARY.items()}
 
 
 def build_state(name: str, params: dict | None = None, cutoff: int | None = None, epsilon: float | None = None):
     """Instantiate a library state by name with keyword parameters."""
     if name not in LIBRARY:
         raise KeyError(f"unknown state {name!r}; available: {', '.join(sorted(LIBRARY))}")
-    factory, _, _ = LIBRARY[name]
+    factory, _ = LIBRARY[name]
     kwargs = dict(params or {})
     if "occupations" in kwargs:
         kwargs["occupations"] = tuple(kwargs["occupations"])

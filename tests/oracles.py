@@ -20,6 +20,12 @@ from momentcrit.moments import (
     principal_submatrix,
 )
 from momentcrit.posmaps import PositiveMap, gell_mann_generators
+from momentcrit.regression import fixtures
+
+
+def pinned(fixture_id: str):
+    """The expected value of one row of the pinned-value table."""
+    return {f.fixture_id: f for f in fixtures()}[fixture_id].expected
 
 
 def coherent_overlap(b1: complex, b2: complex) -> complex:

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from momentcrit.cli import RunConfig, analyze_state
-from momentcrit.criteria import Bipartition, generic_pt_det_test, hz_two_mode
+from momentcrit.criteria import generic_pt_det_test, hz_two_mode
 from momentcrit.errors import SeriesDivergenceError
-from momentcrit.moments import OperatorClass, build_moment_matrix
+from momentcrit.moments import GenericClass, OperatorClass, build_moment_matrix
 from momentcrit.posmaps import (
     BreuerParams,
     ChoiParams,
@@ -231,7 +231,7 @@ def test_acceptance_10_multimode():
     # bipartition, equals its moment formula <N_a N_b> - |<a b^dag>|^2
     singlet = states.singlet()
     hz = hz_two_mode(singlet).witness["det"]
-    generic = generic_pt_det_test(singlet, Bipartition(2, 0).generic_class(["1", "ab"]))
+    generic = generic_pt_det_test(singlet, GenericClass.from_strings(["1", "ab"]))
     formula = hz_two_mode_formula(singlet)["det"]
     _report(
         "10.two_mode_reduction",

@@ -15,7 +15,6 @@ from momentcrit.cli import RunConfig, analyze_state
 from momentcrit.criteria import (
     MINOR_SCAN_BUDGET,
     TOL_EXACT,
-    Bipartition,
     Outcome,
     breuer_bell_test,
     breuer_inequality_test,
@@ -41,7 +40,6 @@ from momentcrit.moments import (
     principal_submatrix,
 )
 from momentcrit.posmaps import BreuerParams, breuer_antidiagonal_unitary, breuer_map
-from momentcrit.regression import fixtures
 from momentcrit.sampling import (
     random_coherent_product,
     random_coherent_separable_mixture,
@@ -56,6 +54,7 @@ from oracles import (
     hz_two_mode_formula,
     loop_sylvester_scan,
     permute_modes,
+    pinned,
     rotate_phases,
     traced_peak,
 )
@@ -86,8 +85,7 @@ def test_min_eig_test_fixtures():
 
 def test_min_eig_confirms_stormer_fixture():
     # independent eigensolve of the frozen witness matrix of the pinned-value table
-    fixture = {f.fixture_id: f for f in fixtures()}["singlet.stormer_r237_matrix"].expected
-    assert np.linalg.eigvalsh(fixture)[0] < 0
+    assert np.linalg.eigvalsh(pinned("singlet.stormer_r237_matrix"))[0] < 0
 
 
 def test_norm_tests_inconclusive_on_coherent_product():
@@ -142,14 +140,16 @@ def test_sv_cat_detects_both_cat_states():
 
 
 def test_multimode_bipartition_builders():
-    bp = Bipartition(states.ghz3().num_modes, 0)
-    assert bp.modes_a == (0,) and bp.modes_b == (1, 2)
-    # two-mode reduction is the ordinary bipartition
-    singlet = states.singlet()
-    bp2 = Bipartition(singlet.num_modes, 0)
-    reduced = generic_pt_det_test(singlet, bp2.generic_class(["1", "ab"]))
-    plain = generic_pt_det_test(singlet, GenericClass.from_strings(["1", "ab"]))
-    np.testing.assert_array_equal(reduced.witness["matrix"], plain.witness["matrix"])
+    # mode 0 versus the other two modes of a three-mode state
+    cls = GenericClass.from_strings(["a", "bc"], (0,), (1, 2))
+    v = generic_pt_det_test(states.ghz3(), cls)
+    assert v.boundary
+    assert v.witness["det"] == hz_three_mode(states.ghz3(), variant=2).witness["margin"]
+    # the class refuses an empty side and a mode outside the state
+    with pytest.raises(DimensionError):
+        GenericClass.from_strings(["1"], (), (0, 1))
+    with pytest.raises(DimensionError):
+        GenericClass.from_strings(["1"], (0,), (1, 3), num_modes=3)
 
 
 def test_mid_mode_bipartition():
@@ -159,10 +159,7 @@ def test_mid_mode_bipartition():
         [(1.0, make_fock_state((0, 1, 1), cuts)), (1.0, make_fock_state((1, 0, 0), cuts))],
         label="mid",
     )
-    bp = Bipartition(state.num_modes, 1)
-    assert bp.modes_a == (1,) and bp.modes_b == (0, 2)
-    gcls = bp.generic_class(["1", "abc"])
-    v = generic_pt_det_test(state, gcls)
+    v = generic_pt_det_test(state, GenericClass.from_strings(["1", "abc"], (1,), (0, 2)))
     assert v.witness["det"] <= 1e-12
 
 

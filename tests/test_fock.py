@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,10 +196,14 @@ def test_insufficient_cutoff_names_requirement():
 
 
 def test_required_cutoff_meets_deficit():
-    for alpha in (0.2, 0.7, 1.4):
-        c = required_coherent_cutoff(alpha, 1e-10)
-        assert coherent_truncation_deficit(alpha, c) < 1e-10
-        assert coherent_truncation_deficit(alpha, c - 1) >= 1e-10
+    # the chosen cutoff is the first one the deficit check accepts; the last three
+    # amplitudes once got a cutoff that make_coherent_superposition then refused
+    alphas = (0.2, 0.7, 1.4, 1.2403567855951985, 3.104630379107839, 1.1634004729569067)
+    for eps, alpha in itertools.product((1e-6, 1e-8, 1e-10, 1e-12, 1e-14), alphas):
+        c = required_coherent_cutoff(alpha, eps)
+        assert coherent_truncation_deficit(alpha, c) < eps
+        assert coherent_truncation_deficit(alpha, c - 1) >= eps
+        assert make_coherent_superposition([(1.0, (alpha,))], eps=eps).cutoffs.cutoffs == (c,)
 
 
 def test_coherent_zero_norm_rejected():

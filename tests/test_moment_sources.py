@@ -9,29 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentcrit.cli import RunConfig, _state_from_config
-from momentcrit.criteria import (
-    breuer_bell_test,
-    breuer_inequality_test,
-    generic_pt_det_test,
-    hz_two_mode,
-    map_test,
-    pt_min_eig_test,
-    pt_norm_test,
-    pt_sylvester_test,
-    realign_norm_test,
-    sv_cat_state_test,
-)
+from momentcrit.criteria import breuer_inequality_test, hz_two_mode, pt_min_eig_test
 from momentcrit.errors import MissingMomentError
 from momentcrit.fock import ModeCutoffs, Monomial
 from momentcrit.moments import (
-    GenericClass,
     OperatorClass,
     TableSource,
     moment,
     normal_order,
     op_expectation,
 )
-from momentcrit.posmaps import stormer_map
 from momentcrit.sampling import random_density
 from momentcrit import states
 from oracles import complete_table, monomial_matrix
@@ -39,23 +26,25 @@ from oracles import complete_table, monomial_matrix
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 STD = OperatorClass.from_strings(["1", "a"], ["1", "b"])
-TRIPLE = OperatorClass.from_strings(["1", "a", "a"], ["1", "b", "b"])
-C16 = OperatorClass.from_strings(["1", "a", "Aa", "aa"], ["1", "b", "Bb", "bb"])
 
-CRITERIA = {
-    "pt_min_eig": lambda s: pt_min_eig_test(s, C16),
-    "pt_norm": lambda s: pt_norm_test(s, STD),
-    "realign_norm": lambda s: realign_norm_test(s, STD),
-    "pt_sylvester": lambda s: pt_sylvester_test(s, STD),
-    "generic_pt_det": lambda s: generic_pt_det_test(
-        s, GenericClass.from_strings(["1", "a", "b", "ab", "Aa"])
-    ),
-    "sv_cat": sv_cat_state_test,
-    "stormer_map": lambda s: map_test(s, TRIPLE, stormer_map(), side="A", r=(2, 3, 7)),
-    "hz_two_mode": hz_two_mode,
-    "breuer_inequality": breuer_inequality_test,
-    "breuer_bell": breuer_bell_test,
-}
+# the criteria as ``analyze`` prepares them from a config
+CRITERIA = {spec.name: spec.call for spec in RunConfig.from_dict({
+    "state": {"library": "singlet"},
+    "criteria": [
+        {"name": "pt_min_eig",
+         "class": {"side_a": ["1", "a", "Aa", "aa"], "side_b": ["1", "b", "Bb", "bb"]}},
+        {"name": "pt_norm"},
+        {"name": "realign_norm"},
+        {"name": "pt_sylvester"},
+        {"name": "generic_pt_det", "class": {"ops": ["1", "a", "b", "ab", "Aa"]}},
+        {"name": "sv_cat"},
+        {"name": "map", "map": {"kind": "stormer"}, "side": "A", "r": [2, 3, 7],
+         "class": {"side_a": ["1", "a", "a"], "side_b": ["1", "b", "b"]}},
+        {"name": "hz_two_mode"},
+        {"name": "breuer_inequality"},
+        {"name": "breuer_bell"},
+    ],
+}).criteria}
 
 
 _factor = st.integers(1, 2).flatmap(

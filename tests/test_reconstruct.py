@@ -165,3 +165,19 @@ def test_state_level_tests_separability_scope():
     mixed33 = DensityMatrix(ModeCutoffs((3, 3)), np.eye(9) / 9)
     verdicts = {v.criterion: v for v in state_level_tests(mixed33, (3, 3))}
     assert verdicts["state_pt_min_eig"].outcome is Outcome.INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "cutoffs, eig_outcome",
+    [((2, 2), Outcome.SEPARABLE), ((2, 3), Outcome.SEPARABLE), ((3, 3), Outcome.INCONCLUSIVE)],
+)
+def test_state_level_boundary_flags(cutoffs, eig_outcome):
+    # |00> sits exactly on every threshold: PT min eigenvalue 0, both trace norms 1
+    rho = make_fock_state((0, 0), cutoffs).density()
+    eig, pt_norm, realign_norm = state_level_tests(rho, cutoffs)
+    assert (eig.criterion, eig.witness["min_eigenvalue"], eig.threshold) == (
+        "state_pt_min_eig", 0.0, 0.0)
+    assert eig.outcome is eig_outcome and eig.boundary
+    for v, name in ((pt_norm, "state_pt_norm"), (realign_norm, "state_realign_norm")):
+        assert (v.criterion, v.witness["trace_norm"], v.threshold) == (name, 1.0, 1.0)
+        assert v.outcome is Outcome.INCONCLUSIVE and v.boundary

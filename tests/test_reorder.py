@@ -19,13 +19,17 @@ from momentcrit.reorder import (
 )
 from momentcrit.sampling import random_density, random_pure_state, random_separable_mixture
 from momentcrit import states
-from oracles import brute_factor_transpose, brute_realignment, permute_modes, rotate_phases
+from oracles import (
+    brute_factor_transpose,
+    brute_realignment,
+    permute_modes,
+    pinned,
+    rotate_phases,
+)
 
 STD = OperatorClass.from_strings(["1", "a"], ["1", "b"])
 
-SINGLET_M = np.array(
-    [[1, 0, 0, 0], [0, 0.5, -0.5, 0], [0, -0.5, 0.5, 0], [0, 0, 0, 0]], dtype=complex
-)
+SINGLET_M = pinned("singlet.moment_matrix")
 
 
 def _random_complex(rng, n):

@@ -394,3 +394,24 @@ def test_state_ppt_reads_table_dims_only_for_two_modes():
     table = TableSource({Monomial.identity(3): 1.0}, 3, dims=(2, 2, 2))
     with pytest.raises(ConfigError, match=r"state_ppt needs 'dims' = \[d_a, d_b\]"):
         _state_ppt(table)
+
+
+@pytest.mark.parametrize(
+    "state, named",
+    [
+        ({"density": [[0.5, 0], [0, float("nan")]], "cutoffs": [2]}, "density matrix entries"),
+        ({"amplitudes": [1, [0, float("inf")], 0, 0], "cutoffs": [2, 2]}, "state amplitudes"),
+        ({"moments": {"1": 1, "Aa": float("nan"), "Bb": 0.5}, "dims": [2, 2]},
+         "moment table value for Aa"),
+    ],
+    ids=["nan-density", "infinite-amplitude", "nan-table-value"],
+)
+def test_cli_refuses_non_finite_state_values(tmp_path, capsys, state, named):
+    # json reads NaN and Infinity; they once ran into LinAlgError records or an
+    # ENTANGLED verdict next to a NaN witness
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"state": state, "criteria": [{"name": "pt_norm"},
+                                                             {"name": "hz_two_mode"}]}))
+    assert main(["analyze", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err and "finite" in captured.err
