@@ -179,9 +179,10 @@ def _jsonify(value):
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(value)]
-        return [[float(x) for x in row] for row in np.atleast_2d(value)]
+        m = np.atleast_2d(value)
+        if np.iscomplexobj(m):
+            return np.stack((m.real, m.imag), -1).tolist()
+        return m.astype(float).tolist()
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if isinstance(value, Outcome):
@@ -481,6 +482,22 @@ def format_human(report: dict) -> str:
     return "\n".join(lines)
 
 
+def format_structured(report: dict) -> str:
+    """The report as JSON: an indented header and one compact line per verdict.
+
+    ``json.dumps`` with ``indent`` set runs the pure-Python encoder, which costs more
+    than the criteria on witness matrices; each verdict goes through the C encoder.
+    """
+    fields = []
+    for key, value in report.items():
+        if key == "verdicts" and value:
+            text = "[\n" + ",\n".join(f"    {json.dumps(rec)}" for rec in value) + "\n  ]"
+        else:
+            text = json.dumps(value)
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}"
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
@@ -489,7 +506,7 @@ def _emit(text: str, out_path: str | None):
         print(text)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentcrit",
         description="Entanglement detection from matrices of ladder-operator moments.",
@@ -509,8 +526,14 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("list-states", help="list the named state library")
     sub.add_parser("list-criteria", help="list available criterion names")
+    return parser
 
-    args = parser.parse_args(argv)
+
+_PARSER = _build_parser()  # parse_args keeps no state between calls
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
 
     if args.command == "list-states":
         for name, desc in list_states().items():
@@ -576,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     if config.output_format == "structured":
-        _emit(json.dumps(report, indent=2), args.out)
+        _emit(format_structured(report), args.out)
     else:
         _emit(format_human(report), args.out)
     if report["entangled_count"] > 0:

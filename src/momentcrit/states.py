@@ -135,7 +135,7 @@ def build_state(name: str, params: dict | None = None, cutoff: int | None = None
     kwargs = dict(params or {})
     if "occupations" in kwargs:
         kwargs["occupations"] = tuple(kwargs["occupations"])
-    if cutoff is not None and name != "thermal":
+    if cutoff is not None:
         kwargs.setdefault("cutoff", cutoff)
     if epsilon is not None and name in ("cat_prime", "cat_double_prime", "product_coherent"):
         kwargs.setdefault("epsilon", epsilon)

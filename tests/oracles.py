@@ -422,3 +422,11 @@ def hz_three_mode_formula(state, variant, modes=(0, 1, 2)) -> dict:
         amp = _ev(state, la + lb + lc)
         names = ("n_a_times_n_b_n_c", "abs_sq_a_b_c")
     return {"margin": lhs - abs(amp) ** 2, names[0]: lhs, names[1]: abs(amp) ** 2}
+
+
+def jsonify_array_elementwise(value: np.ndarray) -> list:
+    """A witness array as report JSON, one element at a time: complex entries as
+    [re, im] pairs, rows of ``np.atleast_2d``.  The reference for ``cli._jsonify``."""
+    if np.iscomplexobj(value):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(value)]
+    return [[float(x) for x in row] for row in np.atleast_2d(value)]

@@ -12,6 +12,7 @@ from momentcrit.cli import (
     ConfigError,
     RunConfig,
     _complex_array,
+    _state_from_config,
     _state_ppt,
     main,
     run,
@@ -61,6 +62,13 @@ def test_build_state_with_overrides():
     assert s.cutoffs.cutoffs == (3, 3)
     c = states.build_state("cat_double_prime", {"alpha": 0.3, "beta": 0.2}, epsilon=1e-8)
     assert max(c.cutoffs.cutoffs) <= 8
+
+
+def test_config_cutoff_reaches_the_thermal_state():
+    raw = {"state": {"library": "thermal", "params": {"nbar": 0.5}}, "cutoff": 3}
+    assert _state_from_config(RunConfig.from_dict(raw)).cutoffs.cutoffs == (3,)
+    raw["state"]["params"]["cutoff"] = 5  # params.cutoff takes precedence
+    assert _state_from_config(RunConfig.from_dict(raw)).cutoffs.cutoffs == (5,)
 
 
 def test_library_thermal_mean_occupation():
@@ -297,6 +305,17 @@ def test_cli_out_file_and_overrides(tmp_path):
     assert code == EXIT_ENTANGLED
     payload = json.loads(out.read_text())
     assert payload["verdicts"][0]["tol"] == 1e-3
+
+
+def test_cli_flags_do_not_carry_over_between_calls(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"state": {"library": "singlet"}, "criteria": [{"name": "pt_norm"}]}))
+    # nu_gamma = 1.207 is not above 1 + 0.5
+    assert main(["analyze", str(path), "--tol", "0.5", "--format", "structured"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["verdicts"][0]["tol"] == 0.5
+    assert main(["analyze", str(path)]) == EXIT_ENTANGLED
+    out = capsys.readouterr().out
+    assert out.startswith("state: singlet\n") and "| tol=1e-09" in out
 
 
 def test_cli_complex_serialization(tmp_path, capsys):
