@@ -8,9 +8,10 @@ Subcommands:
 
 Config and report are JSON; complex numbers are [re, im] pairs.  ``CRITERIA``
 is the one criterion table.  ``RunConfig.from_dict`` checks every entry's keys
-and values against it and prepares each call before any state is built; it
-also refuses unknown top-level keys and a state object that mixes kinds or
-carries a key its kind does not take (``_STATE_KINDS``).
+and values against it, and its rows ``r``/``r_list`` against its class, and
+prepares each call before any state is built; it also refuses unknown
+top-level keys and a state object that mixes kinds or carries a key its kind
+does not take (``_STATE_KINDS``).
 ``analyze_state`` runs the prepared calls on a state or moment table.  Checks
 that need the state (whether the modes exist, map dimension) stay with the
 criterion and end as ERROR records.
@@ -423,6 +424,12 @@ def _criterion_spec(idx: int, entry) -> CriterionSpec:
         call = criterion.prepare(parsed)
     except KeyError as exc:
         raise ConfigError(f"{where}: key {exc} is required") from exc
+    # the class fixes the row count, so malformed rows are refused before any build
+    cls = parsed.get("class", _STD)
+    n = cls.size if isinstance(cls, GenericClass) else cls.d_a * cls.d_b
+    for r in ([parsed["r"]] if "r" in parsed else []) + parsed.get("r_list", []):
+        if not (r[0] >= 1 and r[-1] <= n and all(a < b for a, b in zip(r, r[1:]))):
+            raise ConfigError(f"{where}: rows {list(r)} must be strictly increasing within 1..{n}")
     return CriterionSpec(name, params, call)
 
 

@@ -7,14 +7,18 @@ n_1 * (c_2 * ... * c_m) + ... + n_{m-1} * c_m + n_m
 for per-mode cutoffs (c_1, ..., c_m).
 
 States are immutable after construction and every operation here is a pure
-function, so values may be shared freely between threads.
+function, so values may be shared freely between threads.  Each state also
+carries a private memo of the Gram matrices that ``moments`` computed on it,
+keyed by the exact op tuple.  The memo is an idempotent cache: a state never
+changes, so two threads that fill the same key store equal read-only arrays,
+and sharing a state between threads stays safe.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,6 +164,7 @@ class StateVector:
     amplitudes: np.ndarray
     label: str = "state"
     exact: bool = True
+    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -194,6 +199,7 @@ class DensityMatrix:
     matrix: np.ndarray
     label: str = "state"
     exact: bool = True
+    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)

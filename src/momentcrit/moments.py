@@ -93,6 +93,7 @@ class OperatorClass:
     def d_b(self) -> int:
         return len(self.side_b)
 
+    @functools.lru_cache(maxsize=256)
     def flat_ops(self) -> tuple[Monomial, ...]:
         """Flattened operator list, A-side index fastest."""
         return tuple(
@@ -225,6 +226,7 @@ class TableSource:
         self.num_modes = int(num_modes)
         self.label = label
         self.dims = None if dims is None else tuple(int(d) for d in dims)
+        self._grams: dict[tuple[Monomial, ...], np.ndarray] = {}  # see _gram_moments
         for spec, value in self.table.items():
             if not np.isfinite(value):
                 raise InconsistentMomentsError(
@@ -362,6 +364,20 @@ def shift_tables(
 
 
 def _gram_moments(source: State | TableSource, ops: tuple[Monomial, ...]) -> np.ndarray:
+    """Matrix of <ops_i^dag ops_j>, computed once per op tuple and kept read-only on the source.
+
+    Sources are immutable, so the memo never goes stale; it lives as long as the source.
+    A table lookup that fails raises before anything is stored.
+    """
+    gram = source._grams.get(ops)
+    if gram is None:
+        gram = _compute_gram(source, ops)
+        gram.flags.writeable = False
+        source._grams[ops] = gram
+    return gram
+
+
+def _compute_gram(source: State | TableSource, ops: tuple[Monomial, ...]) -> np.ndarray:
     """Matrix of <ops_i^dag ops_j>; shift tables on the state's own basis for states."""
     n = len(ops)
     if isinstance(source, TableSource):

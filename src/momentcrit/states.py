@@ -19,7 +19,7 @@ def _fock_superposition(
     kets: list[tuple[float, tuple[int, ...]]], cutoff: int | None, label: str
 ) -> StateVector:
     """Normalized sum of basis kets, each mode cut at ``cutoff`` (default 2)."""
-    cuts = ModeCutoffs((cutoff or 2,) * len(kets[0][1]))
+    cuts = ModeCutoffs((2 if cutoff is None else cutoff,) * len(kets[0][1]))
     return superpose([(c, make_fock_state(occ, cuts)) for c, occ in kets], label=label)
 
 
@@ -43,7 +43,7 @@ def partial_example2(cutoff: int | None = None) -> StateVector:
 def _two_mode_coherent(name, terms, alpha, beta, cutoff, epsilon) -> StateVector:
     """Coherent superposition cut at ``cutoff`` per mode, or where epsilon allows."""
     return make_coherent_superposition(
-        terms, cutoffs=(cutoff, cutoff) if cutoff else None, eps=epsilon,
+        terms, cutoffs=None if cutoff is None else (cutoff, cutoff), eps=epsilon,
         label=f"{name}(alpha={alpha}, beta={beta})",
     )
 

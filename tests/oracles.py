@@ -5,7 +5,7 @@ probe."""
 import itertools
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,13 +63,14 @@ class HermitianOperator:
 
     Used where moments of a non-state operator are needed, e.g. the partial
     transpose of a density matrix; the moment engine reads it as it reads a
-    density matrix.
+    density matrix, memo of Gram matrices included.
     """
 
     cutoffs: ModeCutoffs
     matrix: np.ndarray
     label: str = "operator"
     exact: bool = True
+    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)

@@ -39,7 +39,16 @@ from momentcrit.moments import (
     build_moment_matrix,
     principal_submatrix,
 )
-from momentcrit.posmaps import BreuerParams, breuer_antidiagonal_unitary, breuer_map
+from momentcrit.posmaps import (
+    BreuerParams,
+    ChoiParams,
+    KossakowskiParams,
+    breuer_antidiagonal_unitary,
+    breuer_map,
+    choi_map,
+    kossakowski_map,
+    stormer_map,
+)
 from momentcrit.sampling import (
     random_coherent_product,
     random_coherent_separable_mixture,
@@ -381,3 +390,87 @@ def test_named_inequalities_invariant_under_permuting_the_modes(case, data):
     expected = _named_witnesses(state, pair, triple)
     for name, values in _named_witnesses(moved, where(pair), where(triple)).items():
         np.testing.assert_allclose(values, expected[name], rtol=0, atol=1e-10, err_msg=name)
+
+
+# -- positive maps: invariances of the map witnesses -----------------------------
+
+_SWAP = str.maketrans("aAbB", "bBaA")
+_MAPS = [stormer_map(), choi_map(ChoiParams(1.5, 1.0, 1.0)), kossakowski_map(KossakowskiParams(3))]
+C16 = OperatorClass.from_strings(["1", "a", "Aa", "aa"], ["1", "b", "Bb", "bb"])
+
+
+@st.composite
+def _two_mode_state(draw):
+    """A pure or rank-2 two-mode state with cutoffs 2-3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = (draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+    return random_density(rng, cuts, rank=2) if draw(st.booleans()) else random_pure_state(rng, cuts)
+
+
+@st.composite
+def _map_case(draw):
+    """A two-mode state, a 3 x 3 tensor class, a 3-dimensional map, the side it acts
+    on and the rows of the tested submatrix (None for all nine)."""
+    state = draw(_two_mode_state())
+    side_a = ["1"] + draw(st.lists(st.sampled_from(["a", "A", "Aa", "aa"]), min_size=2, max_size=2))
+    side_b = ["1"] + draw(st.lists(st.sampled_from(["b", "B", "Bb", "bb"]), min_size=2, max_size=2))
+    rows = draw(st.none() | st.sets(st.integers(1, 9), min_size=1, max_size=9))
+    r = None if rows is None else tuple(sorted(rows))
+    return state, side_a, side_b, draw(st.sampled_from(_MAPS)), draw(st.sampled_from("AB")), r
+
+
+def _map_witness(state, side_a, side_b, pmap, side, r) -> np.ndarray:
+    w = map_test(state, OperatorClass.from_strings(side_a, side_b), pmap, side, r).witness
+    return np.array([w["min_eigenvalue"], w["det"]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_map_case(), st.floats(-np.pi, np.pi))
+def test_map_witness_invariant_under_phase_rotations_of_the_untouched_mode(case, phi):
+    # a phase on the untouched mode conjugates M by a diagonal unitary on that factor,
+    # which commutes with the map and keeps every principal submatrix's spectrum
+    state, side_a, side_b, pmap, side, r = case
+    phases = (0.0, phi) if side == "A" else (phi, 0.0)
+    np.testing.assert_allclose(
+        _map_witness(rotate_phases(state, phases), side_a, side_b, pmap, side, r),
+        _map_witness(state, side_a, side_b, pmap, side, r), rtol=1e-9, atol=1e-10)
+
+
+def _swapped_rows(r, d_a, d_b):
+    """Rows r of a d_a x d_b class as rows of the class with its sides exchanged."""
+    return None if r is None else tuple(sorted(
+        ((x - 1) % d_a) * d_b + (x - 1) // d_a + 1 for x in r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_map_case())
+def test_map_witness_invariant_under_swapping_the_modes_with_the_class_and_side(case):
+    state, side_a, side_b, pmap, side, r = case
+    np.testing.assert_allclose(
+        _map_witness(permute_modes(state, (1, 0)), [t.translate(_SWAP) for t in side_b],
+                     [t.translate(_SWAP) for t in side_a], pmap, "B" if side == "A" else "A",
+                     _swapped_rows(r, 3, 3)),
+        _map_witness(state, side_a, side_b, pmap, side, r), rtol=1e-9, atol=1e-10)
+
+
+def _bell_dets(state) -> np.ndarray:
+    w = breuer_bell_test(state).witness
+    return np.array([w["det_f1"], w["det_f2"]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_mode_state(), st.floats(-np.pi, np.pi))
+def test_breuer_bell_invariant_under_phase_rotations_of_mode_b(state, phi):
+    np.testing.assert_allclose(_bell_dets(rotate_phases(state, (0.0, phi))), _bell_dets(state),
+                               rtol=1e-9, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_mode_state())
+def test_breuer_bell_on_swapped_modes_is_the_map_on_side_b(state):
+    # both classes are symmetric under a <-> b, so swapping the modes moves the map to
+    # side B and the rows (1, 6, 9) to (1, 3, 6)
+    on_b = [map_test(state, cls, BREUER4, side="B", r=(1, 3, 6)).witness["det"]
+            for cls in (C16, F2)]
+    np.testing.assert_allclose(_bell_dets(permute_modes(state, (1, 0))), on_b,
+                               rtol=1e-9, atol=1e-10)

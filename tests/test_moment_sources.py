@@ -1,6 +1,9 @@
 """States and moment tables read through the one moments layer."""
 
+import dataclasses
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentcrit.cli import RunConfig, _state_from_config
+from momentcrit import moments
+from momentcrit.cli import RunConfig, _state_from_config, analyze_state
 from momentcrit.criteria import breuer_inequality_test, hz_two_mode, pt_min_eig_test
 from momentcrit.errors import MissingMomentError
 from momentcrit.fock import ModeCutoffs, Monomial
@@ -137,3 +141,129 @@ def test_missing_monomials_of_a_matrix_are_listed_together():
     with pytest.raises(MissingMomentError) as err:
         pt_min_eig_test(table, STD)
     assert set(err.value.missing) == {"a", "b", "ab", "Aa", "Ab", "Aab", "Bb", "Bab", "ABab"}
+
+
+# -- one Gram matrix per op tuple per source --------------------------------------
+
+C4 = {"side_a": ["1", "a"], "side_b": ["1", "b"]}
+C9 = {"side_a": ["1", "a", "a"], "side_b": ["1", "b", "b"]}
+C16 = {"side_a": ["1", "a", "Aa", "aa"], "side_b": ["1", "b", "Bb", "bb"]}
+
+
+def _cat_criteria(cls: dict, ab_row: int) -> list[dict]:
+    return [{"name": name, "class": cls} for name in ("pt_min_eig", "pt_norm", "realign_norm")] + [
+        {"name": "pt_sylvester", "class": cls, "r": [1, ab_row]}]
+
+
+TWO_MODE_BATTERY = [
+    {"name": "pt_min_eig", "class": C4},
+    {"name": "pt_norm", "class": C4},
+    {"name": "realign_norm", "class": C4},
+    {"name": "pt_sylvester", "class": C16},
+    {"name": "generic_pt_det", "class": {"ops": ["1", "b", "ab"]}},
+    {"name": "map", "map": {"kind": "stormer"}, "class": C9, "r": [2, 3, 7]},
+    {"name": "map", "map": {"kind": "choi", "alpha": 1.5, "beta": 1.0, "gamma": 1.0}, "class": C9},
+    {"name": "map", "map": {"kind": "breuer", "dim": 4}, "class": C16, "r": [1, 6, 9]},
+    {"name": "map", "map": {"kind": "kossakowski", "n": 3}, "class": C9},
+    {"name": "hz_two_mode"},
+    {"name": "breuer_inequality"},
+    {"name": "breuer_bell"},
+    {"name": "sv_cat"},
+    {"name": "state_ppt", "dims": [3, 3]},
+]
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The op tuples of every uncached Gram computation, in call order."""
+    calls = []
+    compute = moments._compute_gram
+
+    def counted(source, ops):
+        calls.append(ops)
+        return compute(source, ops)
+
+    monkeypatch.setattr(moments, "_compute_gram", counted)
+    return calls
+
+
+def _analyze(state, criteria: list[dict]) -> None:
+    specs = RunConfig.from_dict({"state": {"library": "singlet"}, "criteria": criteria}).criteria
+    assert analyze_state(state, specs)["error_count"] == 0
+
+
+@pytest.mark.parametrize("criteria", [
+    _cat_criteria(C4, 4) + [{"name": "sv_cat"}],  # sv_cat's PT products are C4's rows
+    _cat_criteria(C16, 6),
+], ids=["C4", "C16"])
+def test_cat_criteria_share_one_gram_computation(computed, criteria):
+    _analyze(states.cat_prime(0.6, 0.4), criteria)
+    assert len(computed) == 1
+
+
+def test_two_mode_battery_computes_each_op_tuple_once(computed):
+    _analyze(states.fock((1, 2), cutoff=3), TWO_MODE_BATTERY)
+    assert len(computed) == len(set(computed)) > 1
+
+
+@pytest.mark.parametrize("source", [states.singlet(), states.singlet().density(),
+                                    complete_table(states.singlet(), 3)], ids=type)
+def test_cached_gram_is_read_only_and_reused(source):
+    ops = STD.flat_ops()
+    gram = moments._gram_moments(source, ops)
+    assert not gram.flags.writeable
+    with pytest.raises(ValueError):
+        gram[0, 0] = 0.0
+    assert moments._gram_moments(source, ops) is gram
+
+
+def test_a_new_state_starts_with_an_empty_memo():
+    state = states.cat_prime(0.6, 0.4)
+    pt_min_eig_test(state, STD)
+    assert list(state._grams) == [STD.flat_ops()]
+    rho = state.density()
+    assert rho._grams == {} and dataclasses.replace(state, label="copy")._grams == {}
+    pt_min_eig_test(rho, STD)
+    assert dataclasses.replace(rho, label="copy")._grams == {}
+
+
+def test_failed_table_lookups_cache_nothing():
+    # every criterion on a table sharing earlier failures names what a fresh table names
+    partial = {Monomial.from_string("1", 2): 1.0}
+    shared = TableSource(partial, 2)
+    for name, criterion in CRITERIA.items():
+        with pytest.raises(MissingMomentError) as fresh:
+            criterion(TableSource(partial, 2))
+        with pytest.raises(MissingMomentError) as again:
+            criterion(shared)
+        assert again.value.missing == fresh.value.missing, name
+    assert shared._grams == {}
+
+
+def test_threads_sharing_a_state_read_the_serial_values():
+    # the memo is filled without a lock: a race computes one Gram twice and stores equal arrays
+    names = ("pt_min_eig", "pt_norm", "realign_norm", "sv_cat", "breuer_bell")
+    expected = [CRITERIA[name](states.cat_prime(0.6, 0.4)).witness for name in names]
+    shared = states.cat_prime(0.6, 0.4)
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append([CRITERIA[name](shared).witness for name in names])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads) and errors == [] and len(results) == 4
+    for witnesses in results:
+        for got, want in zip(witnesses, expected):
+            assert _witness_gap(want, got) <= 1e-12

@@ -262,6 +262,37 @@ def test_cli_rejects_bad_config_before_running(tmp_path, capsys, change, named):
     assert captured.out == "" and named in captured.err
 
 
+@pytest.mark.parametrize("criterion, named", [
+    ({"name": "pt_sylvester", "r": [2, 1]},
+     "criteria[0] (pt_sylvester): rows [2, 1] must be strictly increasing within 1..4"),
+    ({"name": "map", "map": {"kind": "stormer"}, "r": [0, 3],
+      "class": {"side_a": ["1", "a", "a"], "side_b": ["1", "b", "b"]}},
+     "criteria[0] (map): rows [0, 3] must be strictly increasing within 1..9"),
+    ({"name": "generic_pt_det", "class": {"ops": ["1", "b", "ab"]}, "r": [1, 4]},
+     "criteria[0] (generic_pt_det): rows [1, 4] must be strictly increasing within 1..3"),
+])
+def test_cli_refuses_rows_outside_the_class_before_building(tmp_path, capsys, criterion, named):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"state": {"library": "singlet"}, "criteria": [criterion]}))
+    assert main(["analyze", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+
+
+@pytest.mark.parametrize("library", ["singlet", "cat_prime"])
+@pytest.mark.parametrize("via", ["config", "flag"])
+def test_cli_refuses_cutoff_zero(tmp_path, capsys, library, via):
+    # a cutoff of 0 used to fall back to the default, or to the automatic coherent cutoff
+    cfg = {"state": {"library": library}, "criteria": [{"name": "pt_norm"}]}
+    if via == "config":
+        cfg["cutoff"] = 0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["analyze", str(path)] + (["--cutoff", "0"] if via == "flag" else [])) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "every cutoff must be >= 1" in captured.err
+
+
 @pytest.mark.parametrize("tol", ["-0.5", "nan", "inf", "-inf"])
 def test_cli_refuses_bad_tol_flag(tmp_path, capsys, tol):
     # with tol = -0.5 this separable state used to get three ENTANGLED verdicts
