@@ -342,15 +342,19 @@ def _map_from(raw):
 
 
 def _state_ppt(state, dims=None, tol=None):
-    """State-level tests on the density matrix; a moment table is reconstructed first."""
-    # a table's per-mode dims are the bipartite [d_a, d_b] only when it has two modes
-    if dims is None and state.num_modes == 2:
-        dims = getattr(state, "dims", None)
+    """State-level tests on the density matrix; a moment table is reconstructed first,
+    at its own per-mode dims, and [d_a, d_b] then splits its modes."""
+    per_mode = getattr(state, "dims", None)
+    if state.num_modes == 2:  # then per-mode dims and [d_a, d_b] stand in for each other
+        dims, per_mode = dims or per_mode, per_mode or dims
     if dims is None:
         raise ConfigError("state_ppt needs 'dims' = [d_a, d_b]")
-    dims = tuple(dims)
     if isinstance(state, TableSource):
-        rho = two_qubit_density(state) if dims == (2, 2) else reconstruct_density(state, dims)
+        if per_mode is None:
+            raise ConfigError("state_ppt needs the table's per-mode dims")
+        per_mode = tuple(per_mode)
+        rho = (two_qubit_density(state) if per_mode == (2, 2)
+               else reconstruct_density(state, per_mode))
     elif isinstance(state, StateVector):
         rho = state.density()
     else:

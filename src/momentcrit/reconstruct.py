@@ -5,24 +5,31 @@ series
 
     <m1| rho |m2> = 1/sqrt(m1! m2!) * sum_j (-1)^j / j! <a^dag^(m2+j) a^(m1+j)>
 
-and its per-mode product generalization.  The sum is finite once the state
-dimension is known (higher moments vanish), which is why ``dims`` is a
-required input and never inferred.  For states outside the convergent domain
-(e.g. thermal occupation >= 1) the terms do not decay; a non-decay guard
-raises instead of returning garbage.
+and its per-mode product generalization.  Each moment it reads is an entry
+G[m2+j, m1+j] of one Gram matrix G[n, m] = <(a^n)^dag a^m> over the
+annihilation monomials with powers below ``dims``: one shift-table pass on a
+state, and on a table one lookup per entry that names every missing monomial
+at once.  A fixed per-mode map (coefficient c[m1, m2, j], row m2+j, column
+m1+j) reads the terms out of it.  The sum is finite once the state dimension
+is known (higher moments vanish), which is why ``dims`` is a required input
+and never inferred.  The terms of all elements number D^3, D = prod(dims);
+above ``fock.MOMENT_WORKING_CAP`` they are refused before any work.  For
+states outside the convergent domain (e.g. thermal occupation >= 1) the
+terms do not decay; a non-decay guard raises instead of returning garbage.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
 from .criteria import Outcome, Verdict, _norm_verdict, min_eig_test, resolve_tol
 from .errors import DimensionError, InconsistentMomentsError, SeriesDivergenceError
-from .fock import DensityMatrix, ModeCutoffs, Monomial, State
-from .moments import TableSource, moment
+from .fock import MOMENT_WORKING_CAP, DensityMatrix, ModeCutoffs, Monomial, State
+from .moments import TableSource, _gram_moments
 from .reorder import realign_blocks, trace_norm, transpose_factor
 
 _NON_DECAY_RUN = 5
@@ -33,6 +40,74 @@ _NON_DECAY_MARGIN = 1e-6
 _DENSITY_TOL = 1e-8
 
 
+def _as_tuple(x) -> tuple[int, ...]:
+    return (x,) if isinstance(x, int) else tuple(int(v) for v in x)
+
+
+@functools.lru_cache(maxsize=64)
+def _mode_map(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One mode's series map over (m1, m2, j), each d x d x d: coefficient, Gram row, column.
+
+    The coefficient is (-1)^j / (j! sqrt(m1! m2!)) while m1 + j and m2 + j stay below d,
+    and 0 past that, where row and column point at entry 0.
+    """
+    m1, m2, j = np.ogrid[:d, :d, :d]
+    live = (m1 + j < d) & (m2 + j < d)
+    fact = np.array([float(math.factorial(k)) for k in range(d)])
+    root = np.sqrt(fact)
+    coef = np.where(live, (-1.0) ** j / fact[j] / (root[m1] * root[m2]), 0.0)
+    maps = coef, np.where(live, m2 + j, 0), np.where(live, m1 + j, 0)
+    for a in maps:
+        a.flags.writeable = False
+    return maps
+
+
+def _series_terms(
+    source: State | TableSource, dims: tuple[int, ...], element=None
+) -> np.ndarray:
+    """Series terms t[m1, m2, j], one axis per mode for each of m1, m2 and j.
+
+    All elements, or with ``element`` = (m1, m2) that one alone (its m axes have
+    length 1).  The terms are gathered from one Gram matrix and checked for decay.
+    """
+    modes, d = len(dims), math.prod(dims)
+    if d**3 > MOMENT_WORKING_CAP:
+        raise DimensionError(f"dims {dims} give {d**3} series terms, above {MOMENT_WORKING_CAP}")
+    ops = tuple(Monomial(tuple((0, n) for n in occ)) for occ in np.ndindex(*dims))
+    gram = _gram_moments(source, ops)
+    coef, rows, cols = 1.0, 0, 0
+    for q, dq in enumerate(dims):
+        maps = _mode_map(dq)
+        if element is not None:
+            x1, x2 = element[0][q], element[1][q]
+            maps = [a[x1 : x1 + 1, x2 : x2 + 1] for a in maps]
+        shape = [1] * (3 * modes)
+        shape[q], shape[modes + q], shape[2 * modes + q] = maps[0].shape
+        coef = coef * maps[0].reshape(shape)
+        rows = rows * dq + maps[1].reshape(shape)
+        cols = cols * dq + maps[2].reshape(shape)
+    terms = coef * gram[rows, cols]
+    _check_decay(np.abs(terms), modes)
+    return terms
+
+
+def _check_decay(size: np.ndarray, modes: int) -> None:
+    """Raise when the terms along one mode's j, the other indices fixed, stop decaying."""
+    for q in range(modes):
+        line = np.moveaxis(size, 2 * modes + q, -1)
+        if line.shape[-1] <= _NON_DECAY_RUN:
+            continue
+        prev, cur = line[..., :-1], line[..., 1:]
+        flat = (prev > 0) & (cur >= prev * (1.0 - _NON_DECAY_MARGIN))
+        windows = np.lib.stride_tricks.sliding_window_view(flat, _NON_DECAY_RUN, axis=-1)
+        if windows.all(axis=-1).any():
+            raise SeriesDivergenceError(
+                "moment series shows no decay over "
+                f"{_NON_DECAY_RUN} consecutive terms (mode {q}); "
+                "the source state is outside the convergent domain"
+            )
+
+
 def density_element(
     source: State | TableSource,
     m1: tuple[int, ...] | int,
@@ -40,116 +115,31 @@ def density_element(
     dims: tuple[int, ...] | int,
 ) -> complex:
     """Matrix element <m1| rho |m2> from moments, truncated at the given dims."""
-    m1 = (m1,) if isinstance(m1, int) else tuple(int(x) for x in m1)
-    m2 = (m2,) if isinstance(m2, int) else tuple(int(x) for x in m2)
-    dims = (dims,) if isinstance(dims, int) else tuple(int(d) for d in dims)
-    modes = source.num_modes
-    if len(m1) != modes or len(m2) != modes or len(dims) != modes:
+    m1, m2, dims = _as_tuple(m1), _as_tuple(m2), _as_tuple(dims)
+    if any(len(x) != source.num_modes for x in (m1, m2, dims)):
         raise DimensionError("occupations and dims must match the number of modes")
     if any(x < 0 for x in m1 + m2) or any(d < 1 for d in dims):
         raise DimensionError("occupations must be nonnegative and dims >= 1")
     if any(x >= d for x, d in zip(m1 + m2, dims + dims)):
         return 0.0 + 0.0j
-    # Per-mode summation ranges: moments with annihilation or creation power
-    # >= dim vanish on a dim-limited state, so j runs to dim-1-max(m1, m2).
-    ranges = [range(0, d - max(x1, x2)) for x1, x2, d in zip(m1, m2, dims)]
-    prefactor = 1.0
-    for x1, x2 in zip(m1, m2):
-        prefactor /= math.sqrt(math.factorial(x1) * math.factorial(x2))
-
-    specs_needed = []
-    for js in np.ndindex(*[len(r) for r in ranges]):
-        powers = tuple(
-            (x2 + j, x1 + j) for x1, x2, j in zip(m1, m2, js)
-        )
-        specs_needed.append(Monomial(powers))
-    if isinstance(source, TableSource):
-        source.require(specs_needed)
-
-    total = 0.0 + 0.0j
-    # Guard against non-decaying series along each mode's index line.
-    lines: dict[tuple, list[float]] = {}
-    for js, spec in zip(np.ndindex(*[len(r) for r in ranges]), specs_needed):
-        coeff = prefactor
-        for j in js:
-            coeff *= (-1) ** j / math.factorial(j)
-        term = coeff * moment(source, spec)
-        total += term
-        for axis in range(modes):
-            key = (axis,) + tuple(j for q, j in enumerate(js) if q != axis)
-            lines.setdefault(key, []).append(abs(term))
-    for key, sequence in lines.items():
-        run = 0
-        for prev, cur in zip(sequence, sequence[1:]):
-            if prev > 0 and cur >= prev * (1.0 - _NON_DECAY_MARGIN):
-                run += 1
-                if run >= _NON_DECAY_RUN:
-                    raise SeriesDivergenceError(
-                        "moment series shows no decay over "
-                        f"{_NON_DECAY_RUN} consecutive terms (mode {key[0]}); "
-                        "the source state is outside the convergent domain"
-                    )
-            else:
-                run = 0
-    return total
+    return complex(_series_terms(source, dims, (m1, m2)).sum())
 
 
 def reconstruct_density(source: State | TableSource, dims: tuple[int, ...]) -> DensityMatrix:
-    """Full density matrix via the general series, element by element."""
-    dims = tuple(int(d) for d in dims)
-    cutoffs = ModeCutoffs(dims)
+    """Full density matrix: the series of every element, read from one Gram matrix."""
+    cutoffs = ModeCutoffs(_as_tuple(dims))
+    if cutoffs.num_modes != source.num_modes:
+        raise DimensionError("occupations and dims must match the number of modes")
     d = cutoffs.total_dimension
-    rho = np.empty((d, d), dtype=complex)
-    occupations = list(np.ndindex(*dims))
-    for i, occ_i in enumerate(occupations):
-        for j, occ_j in enumerate(occupations):
-            if j < i:
-                continue
-            value = density_element(source, occ_i, occ_j, dims)
-            rho[i, j] = value
-            rho[j, i] = value.conjugate()
+    rho = _series_terms(source, cutoffs.cutoffs).reshape(d, d, d).sum(axis=-1)
     return _validated_density(rho, cutoffs, source.label)
 
 
-# Entry table for the two-qubit closed form: per-mode factors keyed by the
-# (bra, ket) occupation pair, expanded into normally ordered monomial terms
-# (coefficient, (creation, annihilation)).
-_QUBIT_FACTORS = {
-    (0, 0): (((1.0, (0, 0)), (-1.0, (1, 1)))),  # 1 - N
-    (0, 1): ((1.0, (1, 0)),),                   # creation
-    (1, 0): ((1.0, (0, 1)),),                   # annihilation
-    (1, 1): ((1.0, (1, 1)),),                   # N
-}
-
-
 def two_qubit_density(source: State | TableSource) -> DensityMatrix:
-    """Two-qubit density matrix assembled from 16 moment combinations.
-
-    Every entry is a product over the two modes of {1-N, a^dag, a, N}
-    factors, expanded into plain normally ordered moments before querying
-    the source.
-    """
+    """Two-qubit density matrix: ``reconstruct_density(source, (2, 2))`` on two modes."""
     if source.num_modes != 2:
         raise DimensionError("two-qubit reconstruction needs exactly two modes")
-    specs_needed = [
-        Monomial(((p, q), (r, s)))
-        for p in (0, 1)
-        for q in (0, 1)
-        for r in (0, 1)
-        for s in (0, 1)
-    ]
-    if isinstance(source, TableSource):
-        source.require(specs_needed)
-    rho = np.zeros((4, 4), dtype=complex)
-    basis = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for i, (m1, n1) in enumerate(basis):
-        for j, (m2, n2) in enumerate(basis):
-            total = 0.0 + 0.0j
-            for ca, pa in _QUBIT_FACTORS[(m1, m2)]:
-                for cb, pb in _QUBIT_FACTORS[(n1, n2)]:
-                    total += ca * cb * moment(source, Monomial((pa, pb)))
-            rho[i, j] = total
-    return _validated_density(rho, ModeCutoffs((2, 2)), source.label)
+    return reconstruct_density(source, (2, 2))
 
 
 def _validated_density(rho: np.ndarray, cutoffs: ModeCutoffs, label: str) -> DensityMatrix:

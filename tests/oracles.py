@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from momentcrit.errors import DimensionError
+from momentcrit.errors import DimensionError, SeriesDivergenceError
 from momentcrit.fock import DensityMatrix, ModeCutoffs, Monomial, StateVector
 from momentcrit.moments import (
     OperatorClass,
@@ -367,6 +367,48 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# -- the density series summed element by element, one moment per term -----------
+
+
+def series_density_element(source, m1, m2, dims) -> complex:
+    """<m1| rho |m2> = sum_j prod_q (-1)^j_q / (j_q! sqrt(m1_q! m2_q!)) <a^dag^(m2+j) a^(m1+j)>.
+
+    Each term queries one moment.  A line of terms along one mode's j, the other
+    indices fixed, that grows or stays level (relative margin 1e-6) over five
+    consecutive steps raises SeriesDivergenceError.
+    """
+    ranges = [range(d - max(x1, x2)) for x1, x2, d in zip(m1, m2, dims)]
+    prefactor = 1.0
+    for x1, x2 in zip(m1, m2):
+        prefactor /= math.sqrt(math.factorial(x1) * math.factorial(x2))
+    total = 0j
+    lines: dict[tuple, list[float]] = {}
+    for js in itertools.product(*ranges):
+        coeff = prefactor
+        for j in js:
+            coeff *= (-1) ** j / math.factorial(j)
+        spec = Monomial(tuple((x2 + j, x1 + j) for x1, x2, j in zip(m1, m2, js)))
+        term = coeff * moment(source, spec)
+        total += term
+        for axis in range(len(js)):
+            key = (axis,) + js[:axis] + js[axis + 1:]
+            lines.setdefault(key, []).append(abs(term))
+    for sequence in lines.values():
+        run = 0
+        for prev, cur in zip(sequence, sequence[1:]):
+            run = run + 1 if prev > 0 and cur >= prev * (1.0 - 1e-6) else 0
+            if run >= 5:
+                raise SeriesDivergenceError("moment series shows no decay")
+    return total
+
+
+def series_density(source, dims) -> np.ndarray:
+    """The unvalidated matrix of ``series_density_element`` over every pair of occupations."""
+    occupations = list(itertools.product(*map(range, dims)))
+    return np.array([[series_density_element(source, m1, m2, dims) for m2 in occupations]
+                     for m1 in occupations])
 
 
 def explicit_pt_gram(state, cls) -> np.ndarray:

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentcrit.criteria import Outcome
 from momentcrit.errors import (
+    DimensionError,
     InconsistentMomentsError,
     MissingMomentError,
     SeriesDivergenceError,
@@ -17,7 +22,9 @@ from momentcrit.reconstruct import (
     two_qubit_density,
 )
 from momentcrit.sampling import random_density, random_pure_state
-from momentcrit import states
+from momentcrit import moments, states
+
+from oracles import complete_table, series_density, series_density_element, traced_peak
 
 
 def test_vacuum_diagonal_element():
@@ -181,3 +188,93 @@ def test_state_level_boundary_flags(cutoffs, eig_outcome):
     for v, name in ((pt_norm, "state_pt_norm"), (realign_norm, "state_realign_norm")):
         assert (v.criterion, v.witness["trace_norm"], v.threshold) == (name, 1.0, 1.0)
         assert v.outcome is Outcome.INCONCLUSIVE and v.boundary
+
+
+# -- one Gram matrix read through the per-mode series map ------------------------
+
+
+@st.composite
+def _reconstruction_case(draw):
+    """A random pure or mixed state, or its complete table, on 1-3 modes of dims 1-4."""
+    # the element-by-element oracle queries one moment per term, so D stays small
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                      .filter(lambda d: math.prod(d) <= 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = random_density(rng, dims) if draw(st.booleans()) else random_pure_state(rng, dims)
+    return (complete_table(state, max(dims)) if draw(st.booleans()) else state), dims
+
+
+@settings(max_examples=40, deadline=None)
+@given(_reconstruction_case(), st.data())
+def test_reconstruction_matches_the_series_oracle(case, data):
+    source, dims = case
+    want = series_density(source, dims)
+    np.testing.assert_allclose(reconstruct_density(source, dims).matrix, want, rtol=0, atol=1e-12)
+    occupations = list(np.ndindex(*dims))
+    for _ in range(3):
+        i, j = data.draw(st.tuples(*[st.integers(0, len(occupations) - 1)] * 2))
+        got = density_element(source, occupations[i], occupations[j], dims)
+        assert abs(got - want[i, j]) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed", "table"])
+def test_a_reconstruction_computes_one_gram(monkeypatch, kind):
+    state = random_density(np.random.default_rng(4), (3, 3))
+    source = {"pure": states.w3(), "mixed": state, "table": complete_table(state, 3)}[kind]
+    dims = (2, 2, 2) if kind == "pure" else (3, 3)
+    calls = []
+    compute = moments._compute_gram
+    monkeypatch.setattr(moments, "_compute_gram", lambda s, ops: calls.append(ops) or compute(s, ops))
+    reconstruct_density(source, dims)
+    density_element(source, (1,) * len(dims), (0,) * len(dims), dims)  # read from the memo
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("nbar, dim, element, diverges", [
+    (1.0, 30, 0, True), (1.5, 30, 0, True), (0.5, 40, 8, True),
+    (0.5, 40, 0, False), (0.5, 40, 1, False), (0.5, 40, 36, False),
+])
+def test_divergence_guard_matches_the_oracle(nbar, dim, element, diverges):
+    th = states.thermal(nbar, cutoff=60)
+    args = (th, (element,), (element,), (dim,))
+    if diverges:
+        for fn in (density_element, series_density_element):
+            with pytest.raises(SeriesDivergenceError):
+                fn(*args)
+        with pytest.raises(SeriesDivergenceError):
+            reconstruct_density(th, (dim,))
+    else:
+        assert abs(density_element(*args) - series_density_element(*args)) <= 1e-12
+
+
+def test_one_error_names_every_missing_monomial():
+    # "Ab" and its adjoint serve only elements (01, 10) and (10, 01), "Bbb" and its adjoint
+    # only (02, 01), (01, 00) and their transposes: the element-by-element series named
+    # only the first failing element's monomial
+    table = complete_table(random_density(np.random.default_rng(3), (2, 3)), 3).table
+    dropped = {"Ab", "Ba", "Bbb", "BBb"}
+    source = TableSource({s: v for s, v in table.items() if s.to_string() not in dropped}, 2)
+    with pytest.raises(MissingMomentError) as err:
+        reconstruct_density(source, (2, 3))
+    missing = set(err.value.missing)
+    assert len(missing) == 2 and missing & {"Ab", "Ba"} and missing & {"Bbb", "BBb"}
+    assert source._grams == {}
+
+
+@pytest.mark.parametrize("source", [
+    states.singlet(), states.singlet().density(), complete_table(states.singlet(), 2),
+], ids=type)
+@pytest.mark.parametrize("call", [
+    lambda s: reconstruct_density(s, (12, 11)),  # 132^3 terms
+    lambda s: density_element(s, (1, 0), (0, 0), (129, 1)),
+    lambda s: reconstruct_density(s, (2,)),
+    lambda s: reconstruct_density(s, (2, 2, 2)),
+    lambda s: density_element(s, (0, 0), (0, 0), (2, 2, 2)),
+], ids=["over-budget", "element-over-budget", "one-dim", "three-dims", "element-three-dims"])
+def test_refusals_come_before_any_work(source, call):
+    def refused():
+        with pytest.raises(DimensionError):
+            call(source)
+
+    assert traced_peak(refused) < 1 << 20
+    assert source._grams == {}

@@ -22,6 +22,8 @@ from momentcrit.fock import Monomial
 from momentcrit.moments import OperatorClass, TableSource, moment
 from momentcrit import states
 
+from oracles import complete_table
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -444,6 +446,17 @@ def test_state_ppt_reads_table_dims_only_for_two_modes():
     table = TableSource({Monomial.identity(3): 1.0}, 3, dims=(2, 2, 2))
     with pytest.raises(ConfigError, match=r"state_ppt needs 'dims' = \[d_a, d_b\]"):
         _state_ppt(table)
+
+
+@pytest.mark.parametrize("split", [[2, 4], [4, 2]])
+def test_state_ppt_on_a_three_mode_table_matches_the_amplitudes(split):
+    # the table is reconstructed at its own dims (2, 2, 2); [d_a, d_b] then splits the modes
+    w = states.w3()
+    table = TableSource(complete_table(w, 2).table, 3, dims=(2, 2, 2))
+    for want, got in zip(_state_ppt(w, split), _state_ppt(table, split), strict=True):
+        assert (got.criterion, got.outcome) == (want.criterion, want.outcome)
+        for key, value in want.witness.items():
+            assert np.max(np.abs(np.asarray(got.witness[key]) - np.asarray(value))) <= 1e-10
 
 
 @pytest.mark.parametrize(
