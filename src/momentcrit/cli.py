@@ -116,9 +116,9 @@ class RunConfig:
         return cls(
             state=raw["state"],
             criteria=[_criterion_spec(idx, entry) for idx, entry in enumerate(criteria)],
-            cutoff=None if cutoff is None else _parse("cutoff", index, cutoff),
-            epsilon=_parse("epsilon", float, raw.get("epsilon", 1e-10)),
-            tol=None if tol is None else _parse("tol", partial(resolve_tol, None), tol),
+            cutoff=None if cutoff is None else _parse("cutoff", _int, cutoff),
+            epsilon=_parse("epsilon", _epsilon, raw.get("epsilon", 1e-10)),
+            tol=None if tol is None else _parse("tol", _tol, tol),
             output_format=fmt,
         )
 
@@ -245,7 +245,7 @@ def _state_from_config(cfg: RunConfig):
     if kind == "moments":
         if spec.get("dims") is None:
             raise ConfigError("state.moments requires state.dims")
-        dims = _parse("state.dims", _ints, spec["dims"])
+        dims = _parse("state.dims", _dims, spec["dims"])
         table = _parse(
             "state.moments",
             lambda m: {Monomial.from_string(k, len(dims)): _complex_from(v) for k, v in m.items()},
@@ -272,10 +272,28 @@ def _check_keys(raw, accepted) -> dict:
     return raw
 
 
+def _int(raw) -> int:
+    """operator.index, which refuses floats and strings, refusing JSON booleans too."""
+    if isinstance(raw, bool):
+        raise TypeError(f"expected an integer, got {raw!r}")
+    return index(raw)
+
+
+def _real(raw) -> float:
+    """float(raw), refusing JSON booleans, which float() reads as 0 and 1."""
+    if isinstance(raw, bool):
+        raise TypeError(f"expected a number, got {raw!r}")
+    return float(raw)
+
+
 def _ints(raw) -> tuple[int, ...]:
     if not isinstance(raw, (list, tuple)):
         raise TypeError(f"expected a list of integers, got {raw!r}")
-    return tuple(index(x) for x in raw)  # index() refuses floats and strings
+    return tuple(_int(x) for x in raw)
+
+
+def _tol(raw) -> float:
+    return resolve_tol(None, _real(raw))
 
 
 def _checked(convert, accept, expected: str):
@@ -290,8 +308,11 @@ def _checked(convert, accept, expected: str):
 
 
 _side = _checked(lambda raw: raw, lambda side: side in ("A", "B"), "'A' or 'B'")
-_positive = _checked(index, lambda n: n >= 1, "an integer >= 1")
-_variant = _checked(index, lambda v: v in (1, 2), "1 or 2")
+_positive = _checked(_int, lambda n: n >= 1, "an integer >= 1")
+_variant = _checked(_int, lambda v: v in (1, 2), "1 or 2")
+_dims = _checked(_ints, lambda dims: len(dims) > 0 and min(dims) >= 1,
+                 "a nonempty list of integers >= 1")
+_epsilon = _checked(_real, lambda eps: 0 < eps < 1, "a number in (0, 1)")
 _rows = _checked(_ints, len, "a nonempty list of row indices")
 _r_list = _checked(lambda raw: [_rows(r) for r in raw], len, "a nonempty list of index lists")
 
@@ -304,10 +325,17 @@ def _modes(cls: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return _ints(cls.get("modes_a", [0])), _ints(cls.get("modes_b", [1]))
 
 
+def _monomials(cls: dict, key: str, default=None) -> list[str]:
+    raw = cls.get(key, default)
+    if not isinstance(raw, list) or not all(isinstance(text, str) for text in raw):
+        raise ConfigError(f"'{key}' must be a list of monomial strings, got {raw!r}")
+    return raw
+
+
 def _tensor_class(raw) -> OperatorClass:
     cls = _check_keys(raw, {"side_a", "side_b", "modes_a", "modes_b"})
     return OperatorClass.from_strings(
-        cls.get("side_a", ["1", "a"]), cls.get("side_b", ["1", "b"]), *_modes(cls)
+        _monomials(cls, "side_a", ["1", "a"]), _monomials(cls, "side_b", ["1", "b"]), *_modes(cls)
     )
 
 
@@ -315,7 +343,7 @@ def _generic_class(raw) -> GenericClass:
     cls = _check_keys(raw, {"ops", "modes_a", "modes_b"})
     if "ops" not in cls:
         raise ConfigError("'ops' (a list of monomial strings) is required")
-    return GenericClass.from_strings(cls["ops"], *_modes(cls))
+    return GenericClass.from_strings(_monomials(cls, "ops"), *_modes(cls))
 
 
 _MAP_KEYS = {"stormer": (), "choi": ("alpha", "beta", "gamma"),
@@ -333,11 +361,11 @@ def _map_from(raw):
         return choi_map(ChoiParams(raw.get("alpha", 2.0), raw.get("beta", 0.0), raw.get("gamma", 1.0)))
     rotation = np.array(raw["rotation"], dtype=float) if "rotation" in raw else None
     if kind == "breuer":
-        dim = index(raw.get("dim", 4))
+        dim = _parse("dim", _int, raw.get("dim", 4))
         if "phases" in raw:
             return breuer_map(BreuerParams(dim, breuer_unitary(tuple(raw["phases"]), rotation)))
         return breuer_map(BreuerParams(dim, breuer_antidiagonal_unitary(dim)))
-    n = index(raw.get("n", 3))
+    n = _parse("n", _int, raw.get("n", 3))
     return kossakowski_map(KossakowskiParams(n, rotation))
 
 
@@ -594,9 +622,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.cutoff is not None:
             config.cutoff = args.cutoff
         if args.epsilon is not None:
-            config.epsilon = args.epsilon
+            config.epsilon = _parse("--epsilon", _epsilon, args.epsilon)
         if args.tol is not None:
-            config.tol = _parse("--tol", partial(resolve_tol, None), args.tol)
+            config.tol = _parse("--tol", _tol, args.tol)
         if args.format is not None:
             config.output_format = args.format
     except (ConfigError, OSError) as exc:

@@ -20,10 +20,10 @@ power of the class, so no image is cut off and nothing is padded: all
 finite-excitation fixtures are exact and coherent states converge with the
 deficit-controlled cutoff.
 
-This module is the only place a moment is evaluated: a Fock state through
-its shift tables, a measured ``TableSource`` by lookup.  Operator products
-are normally ordered first, so both feed every criterion and the
-reconstruction alike.
+A batch of operator products is C @ v: ``_ordering_map`` normal-orders it into
+exact coefficients C over its distinct terms, and ``_expectations`` fills their
+moments v by lookup on a ``TableSource`` or from one memoised Gram matrix on a
+state.  A table's moment matrices are one such batch; a state's use shift tables.
 """
 
 from __future__ import annotations
@@ -239,32 +239,14 @@ class TableSource:
                 )
 
     def moment(self, spec: Monomial) -> complex:
-        if spec in self.table:
-            return self.table[spec]
-        self.require((spec,))
-        return self.table[spec.dagger()].conjugate()
-
-    def require(self, specs) -> None:
-        """Raise one MissingMomentError naming every spec the table cannot answer."""
-        missing = {
-            spec.to_string()
-            for spec in specs
-            if spec not in self.table and spec.dagger() not in self.table
-        }
-        if missing:
-            raise MissingMomentError(sorted(missing))
+        """<spec> by lookup, from the adjoint's value when only that is listed."""
+        value = self.table.get(spec)
+        return self.table[spec.dagger()].conjugate() if value is None else value
 
 
 def moment(source: State | TableSource, spec: Monomial) -> complex:
-    """Single moment <spec>: a table lookup, or one entry of a two-row Gram matrix."""
-    if spec.num_modes != source.num_modes:
-        raise DimensionError("monomial and source disagree on the number of modes")
-    if isinstance(source, TableSource):
-        return source.moment(spec)
-    # <(a^dag)^n a^m> = <(a^n)^dag a^m>: both factors only annihilate, so this costs O(D)
-    left = Monomial(tuple((0, n) for n, _ in spec.powers))
-    right = Monomial(tuple((0, m) for _, m in spec.powers))
-    return complex(_gram_moments(source, (left, right))[0, 1])
+    """Single moment <spec>: a batch of one product."""
+    return op_expectation(source, (spec,))
 
 
 def normal_order(factors: tuple[Monomial, ...]) -> list[tuple[int, Monomial]]:
@@ -293,36 +275,54 @@ def normal_order(factors: tuple[Monomial, ...]) -> list[tuple[int, Monomial]]:
     ]
 
 
-def op_expectation(source: State | TableSource, factors: tuple[Monomial, ...]) -> complex:
-    """Expectation of the operator product factors[0] factors[1] ... on the source.
-
-    The product is normally ordered and each term is one moment, so states
-    and tables answer alike; a table names all the terms it lacks at once.
+@functools.lru_cache(maxsize=256)
+def _ordering_map(products: tuple[tuple[Monomial, ...], ...]):
+    """Normal ordering of a batch: <products[k]> sums coef * <specs[term]> over the k-th run
+    of terms, which begins at starts[k] (C @ v with C sparse).  For a state, <specs[s]> is
+    G[rows[s], cols[s]] with G the Gram matrix of ``ann``, as (a^dag)^n a^m = (a^n)^dag a^m.
     """
+    column: dict[Monomial, int] = {}
+    starts, term, coef = [], [], []
+    for factors in products:
+        starts.append(len(term))
+        for c, spec in normal_order(factors):
+            term.append(column.setdefault(spec, len(column)))
+            coef.append(float(c))
+    ann: dict[Monomial, int] = {}
+    rows = [ann.setdefault(Monomial(tuple((0, n) for n, _ in s.powers)), len(ann)) for s in column]
+    cols = [ann.setdefault(Monomial(tuple((0, m) for _, m in s.powers)), len(ann)) for s in column]
+    return tuple(column), tuple(ann), tuple(map(np.array, (starts, term, coef, rows, cols)))
+
+
+def _expectations(source: State | TableSource, products) -> np.ndarray:
+    """<products[k]> for every k: a table looks the moments up once one MissingMomentError
+    has named every term it lacks, a state reads them off one memoised Gram matrix."""
+    specs, ann, (starts, term, coef, rows, cols) = _ordering_map(products)
+    if isinstance(source, TableSource):
+        table = source.table
+        if missing := {s.to_string() for s in specs if s not in table and s.dagger() not in table}:
+            raise MissingMomentError(sorted(missing))
+        values = np.array([source.moment(s) for s in specs])
+    else:
+        values = _gram_moments(source, ann)[rows, cols]
+    return np.add.reduceat(coef * values[term], starts)
+
+
+def op_expectation(source: State | TableSource, factors: tuple[Monomial, ...]) -> complex:
+    """Expectation of the operator product factors[0] factors[1] ...: a batch of one."""
     if not factors:
         return 1.0 + 0.0j
     if any(f.num_modes != source.num_modes for f in factors):
         raise DimensionError("monomial and source disagree on the number of modes")
-    terms = normal_order(factors)
-    if isinstance(source, TableSource):
-        source.require(spec for _, spec in terms)
-    return complex(sum(c * moment(source, spec) for c, spec in terms))
+    return complex(_expectations(source, (tuple(factors),))[0])
 
 
-def _hermitian_from(n: int, entry) -> np.ndarray:
-    """Hermitian matrix from entry(i, j), i <= j; all missing table moments are named at once."""
-    out = np.empty((n, n), dtype=complex)
-    missing: list[str] = []
-    for i in range(n):
-        for j in range(i, n):
-            try:
-                out[i, j] = entry(i, j)
-            except MissingMomentError as err:
-                missing += err.missing
-            out[j, i] = np.conj(out[i, j])
-    if missing:
-        raise MissingMomentError(sorted(set(missing)))
-    return out
+def _hermitian_batch(source: TableSource, n: int, pair) -> np.ndarray:
+    """Hermitian n x n matrix of <pair(i, j)>: one batch over i <= j, mirrored below."""
+    i, j = np.triu_indices(n)
+    upper = np.zeros((n, n), dtype=complex)
+    upper[i, j] = _expectations(source, tuple(map(pair, i, j)))
+    return upper + np.triu(upper, 1).conj().T
 
 
 def shift_tables(
@@ -378,10 +378,10 @@ def _gram_moments(source: State | TableSource, ops: tuple[Monomial, ...]) -> np.
 
 
 def _compute_gram(source: State | TableSource, ops: tuple[Monomial, ...]) -> np.ndarray:
-    """Matrix of <ops_i^dag ops_j>; shift tables on the state's own basis for states."""
+    """Matrix of <ops_i^dag ops_j>: one batch on a table, shift tables on a state's own basis."""
     n = len(ops)
     if isinstance(source, TableSource):
-        return _hermitian_from(n, lambda i, j: op_expectation(source, (ops[i].dagger(), ops[j])))
+        return _hermitian_batch(source, n, lambda i, j: (ops[i].dagger(), ops[j]))
     src, weight = shift_tables(ops, source.cutoffs.cutoffs)
     # src -1 reads the last entry, which a zero weight cancels
     if isinstance(source, StateVector):
@@ -426,14 +426,14 @@ def build_generic_moment_matrix(state: State | TableSource, cls: GenericClass) -
     plain moment matrix and transposing it afterwards is NOT equivalent for
     non-tensor classes.  Every entry is an entry of the Gram matrix of the
     distinct products A_k B_l, which a state computes in one shift-table
-    pass; a table is asked for the upper-triangle entries only.
+    pass; a table answers the entries on and above the diagonal in one batch.
     """
     if cls.num_modes != state.num_modes:
         raise DimensionError("operator class and state disagree on the number of modes")
     products, idx = _pt_products(cls)
     if isinstance(state, TableSource):
-        entries = _hermitian_from(cls.size, lambda i, j: op_expectation(
-            state, (products[idx[i, j]].dagger(), products[idx[j, i]])))
+        entries = _hermitian_batch(
+            state, cls.size, lambda i, j: (products[idx[i, j]].dagger(), products[idx[j, i]]))
     else:
         entries = _gram_moments(state, products)[idx, idx.T]
     return MomentMatrix(entries)

@@ -8,7 +8,7 @@ series
 and its per-mode product generalization.  Each moment it reads is an entry
 G[m2+j, m1+j] of one Gram matrix G[n, m] = <(a^n)^dag a^m> over the
 annihilation monomials with powers below ``dims``: one shift-table pass on a
-state, and on a table one lookup per entry that names every missing monomial
+state, and on a table one batch of lookups that names every missing monomial
 at once.  A fixed per-mode map (coefficient c[m1, m2, j], row m2+j, column
 m1+j) reads the terms out of it.  The sum is finite once the state dimension
 is known (higher moments vanish), which is why ``dims`` is a required input

@@ -9,13 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from momentcrit.errors import DimensionError, SeriesDivergenceError
+from momentcrit.errors import DimensionError, MissingMomentError, SeriesDivergenceError
 from momentcrit.fock import DensityMatrix, ModeCutoffs, Monomial, StateVector
 from momentcrit.moments import (
     OperatorClass,
     TableSource,
     _gram_moments,
     moment,
+    normal_order,
     op_expectation,
     principal_submatrix,
 )
@@ -334,6 +335,43 @@ def dense_moment(state, spec: Monomial) -> complex:
     return complex(dense_gram(state, (one, spec))[0, 1])
 
 
+def per_term_expectation(source, factors) -> complex:
+    """<factors[0] factors[1] ...> summed over the normally ordered terms one at a time.
+
+    A term's moment is ``dense_moment`` on a state, and on a table its entry or the
+    conjugate of its adjoint's entry; one MissingMomentError names every term the
+    table lacks.
+    """
+    if not factors:
+        return 1.0 + 0.0j
+    terms = normal_order(tuple(factors))
+    if not isinstance(source, TableSource):
+        return complex(sum(c * dense_moment(source, spec) for c, spec in terms))
+    table = source.table
+    missing = {s.to_string() for _, s in terms if s not in table and s.dagger() not in table}
+    if missing:
+        raise MissingMomentError(sorted(missing))
+    return complex(sum(c * (table[s] if s in table else table[s.dagger()].conjugate())
+                       for c, s in terms))
+
+
+def per_entry_hermitian(source, n: int, pair) -> np.ndarray:
+    """Hermitian matrix of ``per_term_expectation(source, pair(i, j))``, entry by entry for
+    i <= j; one MissingMomentError names the terms missing from every entry."""
+    out = np.empty((n, n), dtype=complex)
+    missing: set[str] = set()
+    for i in range(n):
+        for j in range(i, n):
+            try:
+                out[i, j] = per_term_expectation(source, pair(i, j))
+            except MissingMomentError as err:
+                missing.update(err.missing)
+            out[j, i] = np.conj(out[i, j])
+    if missing:
+        raise MissingMomentError(sorted(missing))
+    return out
+
+
 def loop_sylvester_scan(
     m: np.ndarray, max_minor_size: int = 4, r_list=None
 ) -> tuple[float, tuple[int, ...] | None]:
@@ -375,9 +413,9 @@ def traced_peak(fn) -> int:
 def series_density_element(source, m1, m2, dims) -> complex:
     """<m1| rho |m2> = sum_j prod_q (-1)^j_q / (j_q! sqrt(m1_q! m2_q!)) <a^dag^(m2+j) a^(m1+j)>.
 
-    Each term queries one moment.  A line of terms along one mode's j, the other
-    indices fixed, that grows or stays level (relative margin 1e-6) over five
-    consecutive steps raises SeriesDivergenceError.
+    Each term queries one moment through ``per_term_expectation``.  A line of
+    terms along one mode's j, the other indices fixed, that grows or stays level
+    (relative margin 1e-6) over five consecutive steps raises SeriesDivergenceError.
     """
     ranges = [range(d - max(x1, x2)) for x1, x2, d in zip(m1, m2, dims)]
     prefactor = 1.0
@@ -390,7 +428,7 @@ def series_density_element(source, m1, m2, dims) -> complex:
         for j in js:
             coeff *= (-1) ** j / math.factorial(j)
         spec = Monomial(tuple((x2 + j, x1 + j) for x1, x2, j in zip(m1, m2, js)))
-        term = coeff * moment(source, spec)
+        term = coeff * per_term_expectation(source, (spec,))
         total += term
         for axis in range(len(js)):
             key = (axis,) + js[:axis] + js[axis + 1:]

@@ -26,7 +26,7 @@ from momentcrit.posmaps import (
     kossakowski_map,
     stormer_map,
 )
-from momentcrit.reconstruct import density_element, reconstruct_density, two_qubit_density
+from momentcrit.reconstruct import density_element, two_qubit_density
 from momentcrit.reorder import build_pt_moment_matrix, partial_transpose
 from momentcrit.regression import check, fixtures, norm_ordering_records
 from momentcrit.sampling import (
@@ -45,6 +45,7 @@ from oracles import (
     product_state_factorization,
     random_psd,
     random_rotation,
+    series_density,
 )
 
 BATTERY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "separable_battery.json"
@@ -215,8 +216,7 @@ def test_acceptance_09_reconstruction():
         err = np.max(np.abs(rho.matrix - state.density().matrix))
         worst = max(worst, err)
         assert err <= 1e-10
-        rho_series = reconstruct_density(state, (2, 2))
-        assert np.max(np.abs(rho_series.matrix - rho.matrix)) <= 1e-10
+        assert np.max(np.abs(series_density(state, (2, 2)) - rho.matrix)) <= 1e-10
     _report("09.two_qubit_reconstruction", True, f"worst defect {worst:.2e}")
     raised = False
     try:

@@ -17,15 +17,23 @@ from momentcrit.criteria import breuer_inequality_test, hz_two_mode, pt_min_eig_
 from momentcrit.errors import MissingMomentError
 from momentcrit.fock import ModeCutoffs, Monomial
 from momentcrit.moments import (
+    GenericClass,
     OperatorClass,
     TableSource,
+    build_generic_moment_matrix,
+    build_moment_matrix,
     moment,
     normal_order,
     op_expectation,
 )
-from momentcrit.sampling import random_density
+from momentcrit.sampling import random_density, random_pure_state
 from momentcrit import states
-from oracles import complete_table, monomial_matrix
+from oracles import (
+    complete_table,
+    monomial_matrix,
+    per_entry_hermitian,
+    per_term_expectation,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -111,6 +119,67 @@ def test_op_expectation_on_table_matches_state():
     num_a = Monomial.from_string("Aa", 2)
     factors = (num_a, Monomial.from_string("b", 2), num_a.dagger(), Monomial.from_string("B", 2))
     assert abs(op_expectation(table, factors) - op_expectation(singlet, factors)) < 1e-12
+
+
+# -- every batch against the per-term oracle ----------------------------------------
+
+_POWERS = st.tuples(st.integers(0, 1), st.integers(0, 1))  # (creation, annihilation) on a mode
+_IDLE = (0, 0)
+
+
+@st.composite
+def _batch_case(draw):
+    """A two-mode pure state, density or table (entries dropped at a drawn rate), a
+    product of 1-3 factors, a tensor class and a generic class."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = (draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+    kind = draw(st.sampled_from(["pure", "mixed", "table"]))
+    source = random_pure_state(rng, cuts) if kind == "pure" else random_density(rng, cuts)
+    if kind == "table":
+        # powers up to 3 cover three factors, a Gram entry and a generic PT entry; the
+        # table lists one monomial of each adjoint pair, so half the reads conjugate
+        rate, kept = draw(st.sampled_from([0.0, 0.05, 0.3])), {}
+        for spec, value in complete_table(source, 4).table.items():
+            if spec.dagger() not in kept and rng.random() >= rate:
+                kept[spec] = value
+        source = TableSource(kept, 2)
+    pairs = st.lists(st.tuples(_POWERS, _POWERS), min_size=1, max_size=3)
+    sides = [st.lists(_POWERS, min_size=1, max_size=3) for _ in range(2)]
+    cls = OperatorClass(tuple(Monomial((p, _IDLE)) for p in draw(sides[0])),
+                        tuple(Monomial((_IDLE, p)) for p in draw(sides[1])))
+    generic = GenericClass(tuple(map(Monomial, draw(pairs))))
+    return source, tuple(map(Monomial, draw(pairs))), cls, generic
+
+
+@settings(max_examples=80, deadline=None)
+@given(_batch_case())
+def test_batches_match_the_per_term_oracle(case):
+    source, factors, cls, generic = case
+    checks = [(lambda: op_expectation(source, factors),
+               lambda: per_term_expectation(source, factors))]
+    if isinstance(source, TableSource):
+        ops, g = cls.flat_ops(), generic.ops
+
+        def swapped(i, j):  # A_i B_j, the row's A part with the column's B part
+            return Monomial((g[i].powers[0], g[j].powers[1]))
+
+        checks += [
+            (lambda: build_moment_matrix(source, cls).entries,
+             lambda: per_entry_hermitian(source, len(ops), lambda i, j: (ops[i].dagger(), ops[j]))),
+            (lambda: build_generic_moment_matrix(source, generic).entries,
+             lambda: per_entry_hermitian(source, len(g),
+                                         lambda i, j: (swapped(i, j).dagger(), swapped(j, i)))),
+        ]
+    for batch, oracle in checks:
+        try:
+            want = oracle()
+        except MissingMomentError as err:
+            with pytest.raises(MissingMomentError) as got:
+                batch()
+            assert set(got.value.missing) == set(err.missing)
+            continue
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(batch() - want)) <= 1e-12 * scale
 
 
 def test_missing_monomial_is_named():

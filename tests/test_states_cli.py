@@ -254,6 +254,50 @@ def test_cli_config_error_diagnostics(tmp_path, capsys):
          "criteria[0] (hz_three_mode) key 'modes': expected 3 modes, got (0, 1)"),
         ({"criteria": [{"name": "hz_three_mode", "variant": 3}]},
          "criteria[0] (hz_three_mode) key 'variant': expected 1 or 2, got 3"),
+        # a JSON bool is not a number: "tol": true ran as tol 1.0, and the singlet's
+        # pt_min_eig of -0.207 then read INCONCLUSIVE
+        ({"tol": True}, "tol: expected a number, got True"),
+        ({"epsilon": True}, "epsilon: expected a number, got True"),
+        ({"cutoff": True}, "cutoff: expected an integer, got True"),
+        ({"criteria": [{"name": "hz_three_mode", "variant": True}]},
+         "criteria[0] (hz_three_mode) key 'variant': expected an integer, got True"),
+        ({"criteria": [{"name": "hz_two_mode", "modes": [False, True]}]},
+         "criteria[0] (hz_two_mode) key 'modes': expected an integer, got False"),
+        ({"criteria": [{"name": "pt_sylvester", "r": [True, 4]}]},
+         "criteria[0] (pt_sylvester) key 'r': expected an integer, got True"),
+        ({"criteria": [{"name": "pt_sylvester", "max_minor_size": True}]},
+         "criteria[0] (pt_sylvester) key 'max_minor_size': expected an integer, got True"),
+        ({"criteria": [{"name": "pt_norm", "class": {"modes_b": [True]}}]},
+         "criteria[0] (pt_norm) key 'class': expected an integer, got True"),
+        ({"criteria": [{"name": "state_ppt", "dims": [True, 2]}]},
+         "criteria[0] (state_ppt) key 'dims': expected an integer, got True"),
+        ({"criteria": [{"name": "map", "map": {"kind": "breuer", "dim": True}}]},
+         "criteria[0] (map) key 'map': dim: expected an integer, got True"),
+        ({"criteria": [{"name": "map", "map": {"kind": "kossakowski", "n": True}}]},
+         "criteria[0] (map) key 'map': n: expected an integer, got True"),
+        ({"state": {"amplitudes": [1, 0, 0, 0], "cutoffs": [True, 2]}},
+         "state.cutoffs: expected an integer, got True"),
+        ({"state": {"moments": {"1": 1}, "dims": [2, True]}},
+         "state.dims: expected an integer, got True"),
+        # a string is not a list of monomials: "1a" ran as (1, a)
+        ({"criteria": [{"name": "pt_norm", "class": {"side_a": "1a"}}]},
+         "criteria[0] (pt_norm) key 'class': 'side_a' must be a list of monomial strings, got '1a'"),
+        ({"criteria": [{"name": "pt_norm", "class": {"side_b": "1b"}}]},
+         "criteria[0] (pt_norm) key 'class': 'side_b' must be a list of monomial strings"),
+        ({"criteria": [{"name": "pt_norm", "class": {"side_a": [1]}}]},
+         "criteria[0] (pt_norm) key 'class': 'side_a' must be a list of monomial strings, got [1]"),
+        ({"criteria": [{"name": "generic_pt_det", "class": {"ops": "1ab"}}]},
+         "criteria[0] (generic_pt_det) key 'class': 'ops' must be a list of monomial strings"),
+        # ranges: a table's dims, and epsilon, which is a norm deficit
+        ({"state": {"moments": {"1": 1}, "dims": [-1, 2]}},
+         "state.dims: expected a nonempty list of integers >= 1, got (-1, 2)"),
+        ({"state": {"moments": {"1": 1}, "dims": []}},
+         "state.dims: expected a nonempty list of integers >= 1, got ()"),
+        ({"state": {"library": "cat_prime"}, "epsilon": 2},
+         "epsilon: expected a number in (0, 1), got 2.0"),
+        ({"epsilon": 0}, "epsilon: expected a number in (0, 1), got 0.0"),
+        ({"epsilon": float("nan")}, "epsilon: expected a number in (0, 1), got nan"),
+        ({"epsilon": float("inf")}, "epsilon: expected a number in (0, 1), got inf"),
     ],
 )
 def test_cli_rejects_bad_config_before_running(tmp_path, capsys, change, named):
@@ -305,6 +349,17 @@ def test_cli_refuses_bad_tol_flag(tmp_path, capsys, tol):
     assert main(["analyze", str(path), f"--tol={tol}"]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == "" and "--tol: tol must be a finite number >= 0" in captured.err
+
+
+@pytest.mark.parametrize("epsilon", ["2", "0", "-1e-3", "nan", "inf"])
+def test_cli_refuses_bad_epsilon_flag(tmp_path, capsys, epsilon):
+    # "--epsilon 2" used to fail as "coherent superposition has (numerically) zero norm"
+    path = tmp_path / "c.json"
+    cfg = {"state": {"library": "cat_prime"}, "criteria": [{"name": "pt_norm"}]}
+    path.write_text(json.dumps(cfg))
+    assert main(["analyze", str(path), f"--epsilon={epsilon}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--epsilon: expected a number in (0, 1)" in captured.err
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
