@@ -50,7 +50,7 @@ from .criteria import (
     sv_cat_state_test,
 )
 from .fock import DensityMatrix, ModeCutoffs, Monomial, StateVector
-from .moments import GenericClass, OperatorClass
+from .moments import GenericClass, OperatorClass, _checked_rows
 from .posmaps import (
     BreuerParams,
     ChoiParams,
@@ -82,11 +82,7 @@ class ConfigError(ValueError):
 @dataclasses.dataclass
 class CriterionSpec:
     name: str
-    params: dict
     call: Callable = dataclasses.field(repr=False, compare=False)  # see Criterion.prepare
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, **self.params}
 
 
 @dataclasses.dataclass
@@ -122,19 +118,6 @@ class RunConfig:
             output_format=fmt,
         )
 
-    def to_dict(self) -> dict:
-        out = {
-            "state": self.state,
-            "criteria": [c.to_dict() for c in self.criteria],
-            "epsilon": self.epsilon,
-            "format": self.output_format,
-        }
-        if self.cutoff is not None:
-            out["cutoff"] = self.cutoff
-        if self.tol is not None:
-            out["tol"] = self.tol
-        return out
-
 
 # -- JSON <-> value helpers ----------------------------------------------------
 
@@ -143,7 +126,7 @@ def _parse(where: str, convert, value):
     """convert(value); a value of the wrong shape is a ConfigError that names where."""
     try:
         return convert(value)
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -286,10 +269,19 @@ def _real(raw) -> float:
     return float(raw)
 
 
-def _ints(raw) -> tuple[int, ...]:
-    if not isinstance(raw, (list, tuple)):
-        raise TypeError(f"expected a list of integers, got {raw!r}")
-    return tuple(_int(x) for x in raw)
+def _list_of(convert, what: str):
+    """A converter of a JSON list whose every item goes through convert."""
+    def check(raw) -> tuple:
+        if not isinstance(raw, (list, tuple)):
+            raise TypeError(f"expected a list of {what}, got {raw!r}")
+        return tuple(convert(x) for x in raw)
+
+    return check
+
+
+_ints = _list_of(_int, "integers")
+_reals = _list_of(_real, "numbers")
+_matrix = _list_of(_reals, "lists of numbers")
 
 
 def _tol(raw) -> float:
@@ -312,6 +304,7 @@ _positive = _checked(_int, lambda n: n >= 1, "an integer >= 1")
 _variant = _checked(_int, lambda v: v in (1, 2), "1 or 2")
 _dims = _checked(_ints, lambda dims: len(dims) > 0 and min(dims) >= 1,
                  "a nonempty list of integers >= 1")
+_dims_ab = _checked(_ints, lambda dims: len(dims) == 2 and min(dims) >= 1, "two integers >= 1")
 _epsilon = _checked(_real, lambda eps: 0 < eps < 1, "a number in (0, 1)")
 _rows = _checked(_ints, len, "a nonempty list of row indices")
 _r_list = _checked(lambda raw: [_rows(r) for r in raw], len, "a nonempty list of index lists")
@@ -346,27 +339,32 @@ def _generic_class(raw) -> GenericClass:
     return GenericClass.from_strings(_monomials(cls, "ops"), *_modes(cls))
 
 
-_MAP_KEYS = {"stormer": (), "choi": ("alpha", "beta", "gamma"),
-             "breuer": ("dim", "phases", "rotation"), "kossakowski": ("n", "rotation")}
+def _breuer(p: dict):
+    dim = p.get("dim", 4)
+    if "phases" in p:
+        return breuer_map(BreuerParams(dim, breuer_unitary(p["phases"], p.get("rotation"))))
+    return breuer_map(BreuerParams(dim, breuer_antidiagonal_unitary(dim)))
+
+
+# map kind -> (accepted key -> converter of its JSON value, build from the converted keys)
+_MAPS = {
+    "stormer": ({}, lambda p: stormer_map()),
+    "choi": ({"alpha": _real, "beta": _real, "gamma": _real},
+             lambda p: choi_map(ChoiParams(p.get("alpha", 2.0), p.get("beta", 0.0),
+                                           p.get("gamma", 1.0)))),
+    "breuer": ({"dim": _int, "phases": _reals, "rotation": _matrix}, _breuer),
+    "kossakowski": ({"n": _int, "rotation": _matrix},
+                    lambda p: kossakowski_map(KossakowskiParams(p.get("n", 3), p.get("rotation")))),
+}
 
 
 def _map_from(raw):
     kind = raw.get("kind") if isinstance(raw, dict) else None
-    if kind not in _MAP_KEYS:
-        raise ConfigError(f"expected an object with 'kind' in {list(_MAP_KEYS)}, got {raw!r}")
-    _check_keys(raw, {"kind", *_MAP_KEYS[kind]})
-    if kind == "stormer":
-        return stormer_map()
-    if kind == "choi":
-        return choi_map(ChoiParams(raw.get("alpha", 2.0), raw.get("beta", 0.0), raw.get("gamma", 1.0)))
-    rotation = np.array(raw["rotation"], dtype=float) if "rotation" in raw else None
-    if kind == "breuer":
-        dim = _parse("dim", _int, raw.get("dim", 4))
-        if "phases" in raw:
-            return breuer_map(BreuerParams(dim, breuer_unitary(tuple(raw["phases"]), rotation)))
-        return breuer_map(BreuerParams(dim, breuer_antidiagonal_unitary(dim)))
-    n = _parse("n", _int, raw.get("n", 3))
-    return kossakowski_map(KossakowskiParams(n, rotation))
+    if kind not in _MAPS:
+        raise ConfigError(f"expected an object with 'kind' in {list(_MAPS)}, got {raw!r}")
+    keys, build = _MAPS[kind]
+    _check_keys(raw, {"kind", *keys})
+    return build({k: _parse(k, keys[k], v) for k, v in raw.items() if k != "kind"})
 
 
 def _state_ppt(state, dims=None, tol=None):
@@ -437,7 +435,7 @@ CRITERIA = {
     "sv_cat": Criterion("3x3 PT determinant over (1, b, ab)", {},
                         lambda p: partial(sv_cat_state_test)),
     "state_ppt": Criterion("state-level PT/realignment tests (reconstruction aware)",
-                           {"dims": _ints}, lambda p: partial(_state_ppt, **p)),
+                           {"dims": _dims_ab}, lambda p: partial(_state_ppt, **p)),
 }
 
 
@@ -452,6 +450,8 @@ def _criterion_spec(idx: int, entry) -> CriterionSpec:
     params = {k: v for k, v in entry.items() if k != "name"}
     _parse(where, lambda p: _check_keys(p, criterion.keys), params)
     parsed = {k: _parse(f"{where} key {k!r}", criterion.keys[k], v) for k, v in params.items()}
+    if "r" in parsed and "r_list" in parsed:
+        raise ConfigError(f"{where}: give 'r' or 'r_list', not both")
     try:
         call = criterion.prepare(parsed)
     except KeyError as exc:
@@ -459,10 +459,9 @@ def _criterion_spec(idx: int, entry) -> CriterionSpec:
     # the class fixes the row count, so malformed rows are refused before any build
     cls = parsed.get("class", _STD)
     n = cls.size if isinstance(cls, GenericClass) else cls.d_a * cls.d_b
-    for r in ([parsed["r"]] if "r" in parsed else []) + parsed.get("r_list", []):
-        if not (r[0] >= 1 and r[-1] <= n and all(a < b for a, b in zip(r, r[1:]))):
-            raise ConfigError(f"{where}: rows {list(r)} must be strictly increasing within 1..{n}")
-    return CriterionSpec(name, params, call)
+    for r in [parsed["r"]] if "r" in parsed else parsed.get("r_list", []):
+        _parse(where, partial(_checked_rows, size=n), r)
+    return CriterionSpec(name, call)
 
 
 # -- run + report ----------------------------------------------------------------

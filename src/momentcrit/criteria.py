@@ -27,6 +27,7 @@ from .moments import (
     GenericClass,
     MomentMatrix,
     OperatorClass,
+    _checked_rows,
     build_generic_moment_matrix,
     build_moment_matrix,
     op_expectation,
@@ -117,6 +118,14 @@ def _norm_verdict(
     )
 
 
+def _hermitian(matrix: np.ndarray | MomentMatrix, caller: str) -> np.ndarray:
+    """The entries of a moment matrix or array, refused unless Hermitian within 1e-8."""
+    m = matrix.entries if hasattr(matrix, "entries") else np.asarray(matrix, dtype=complex)
+    if np.max(np.abs(m - m.conj().T)) > 1e-8:
+        raise ValueError(f"{caller} expects a Hermitian matrix")
+    return m
+
+
 def min_eig_test(
     matrix: np.ndarray | MomentMatrix,
     tol: float = TOL_EXACT,
@@ -124,9 +133,7 @@ def min_eig_test(
     provenance: dict | None = None,
 ) -> Verdict:
     """ENTANGLED iff the minimum eigenvalue of a Hermitian witness is < -tol."""
-    m = matrix.entries if hasattr(matrix, "entries") else np.asarray(matrix, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > 1e-8:
-        raise ValueError("min_eig_test expects a Hermitian matrix")
+    m = _hermitian(matrix, "min_eig_test")
     lam = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
     witness = {"min_eigenvalue": lam, "matrix": m}
     return _negativity_verdict(lam, tol, criterion, witness, provenance)
@@ -147,16 +154,14 @@ def sylvester_scan(
     exponential, so the default size stays small).  A ``max_minor_size``
     below 1 or an empty ``r_list`` raises ValueError: it would scan nothing.
     """
-    m = matrix.entries if hasattr(matrix, "entries") else np.asarray(matrix, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > 1e-8:
-        raise ValueError("sylvester_scan expects a Hermitian matrix")
+    m = _hermitian(matrix, "sylvester_scan")
     if max_minor_size < 1 or (r_list is not None and not r_list):
         raise ValueError(
             f"a scan needs max_minor_size >= 1 and a nonempty r_list, got {max_minor_size} "
             f"and {r_list}"
         )
     size = m.shape[0]
-    # blocks of (candidate positions, 0-based index rows), one block per minor size
+    # runs of equal-size candidates in candidate order, as 0-based index rows
     if r_list is None:
         sizes = range(1, min(max_minor_size, size) + 1)
         count = sum(math.comb(size, k) for k in sizes)
@@ -165,42 +170,25 @@ def sylvester_scan(
                 f"a scan of {size} rows up to size {max_minor_size} has {count} minors, "
                 f"above the budget of {MINOR_SCAN_BUDGET}; pass r_list or lower max_minor_size"
             )
-        rows = [
-            np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(size), k)),
-                        np.intp).reshape(-1, k)
-            for k in sizes
-        ]
-        starts = np.cumsum([0] + [len(idx) for idx in rows])
-        blocks = [(np.arange(a, b), idx) for a, b, idx in zip(starts, starts[1:], rows)]
+        runs = (np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(size), k)),
+                            np.intp).reshape(-1, k) for k in sizes)
     else:
-        candidates = [tuple(int(x) for x in r) for r in r_list]
-        for r in candidates:
-            principal_submatrix(m, r)  # IndexError on a malformed entry
-        count = len(candidates)
-        by_size: dict[int, list[int]] = {}
-        for pos, r in enumerate(candidates):
-            by_size.setdefault(len(r), []).append(pos)
-        blocks = [(np.array(pos), np.array([candidates[p] for p in pos], np.intp) - 1)
-                  for pos in by_size.values()]
-    dets = np.empty(count)
-    for pos, idx in blocks:
-        dets[pos] = np.linalg.det(m[idx[:, :, None], idx[:, None, :]]).real
+        rows = [_checked_rows(r, size) for r in r_list]  # IndexError on a malformed entry
+        runs = (np.array(list(run), np.intp) - 1 for _, run in itertools.groupby(rows, len))
     # the first strict minimum in candidate order; NaN and +inf never qualify
-    masked = np.where(dets < np.inf, dets, np.inf)
-    j = int(np.argmin(masked)) if count else 0
-    worst_det: float = np.inf
-    worst_r: tuple[int, ...] | None = None
-    if count and masked[j] < np.inf:
-        pos, idx = next((pos, idx) for pos, idx in blocks if j in pos)
-        worst_det = float(dets[j])
-        worst_r = tuple(int(x) + 1 for x in idx[np.searchsorted(pos, j)])
+    worst_det, worst_idx = np.inf, None
+    for idx in runs:
+        dets = np.linalg.det(m[idx[:, :, None], idx[:, None, :]]).real
+        j = int(np.argmin(np.where(dets < np.inf, dets, np.inf)))
+        if dets[j] < worst_det:
+            worst_det, worst_idx = float(dets[j]), idx[j]
     return _negativity_verdict(
         worst_det, tol,
         criterion=criterion,
         witness={
             "min_principal_minor": worst_det,
-            "r": worst_r,
-            "submatrix": principal_submatrix(m, worst_r) if worst_r else m,
+            "r": None if worst_idx is None else tuple(int(x) + 1 for x in worst_idx),
+            "submatrix": m if worst_idx is None else m[np.ix_(worst_idx, worst_idx)],
         },
         provenance=provenance,
     )

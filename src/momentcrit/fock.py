@@ -281,26 +281,26 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
 
 
 def _poisson_tails(alpha: complex):
-    """Truncation deficits 1 - sum_{n < c} e^{-|alpha|^2} |alpha|^{2n} / n! for c = 0, 1, ..."""
+    """Deficits max(0, 1 - sum_{n < c} e^{-|alpha|^2} |alpha|^{2n} / n!), c = 0, 1, ...: never rising."""
     n2 = abs(alpha) ** 2
     cumulative, term = 0.0, math.exp(-n2)
     for c in itertools.count(1):
-        yield 1.0 - cumulative
+        yield max(0.0, 1.0 - cumulative)
         cumulative += term
         term = term * n2 / c
 
 
 def coherent_truncation_deficit(alpha: complex, cutoff: int) -> float:
     """Probability weight of the removed tail of a coherent state."""
-    return max(0.0, next(itertools.islice(_poisson_tails(alpha), cutoff, None)))
+    return next(itertools.islice(_poisson_tails(alpha), cutoff, None))
 
 
-def required_coherent_cutoff(alpha: complex, eps: float, cap: int = DENSE_DIMENSION_CAP) -> int:
-    """Smallest cutoff whose truncation deficit is below eps."""
-    for c, deficit in itertools.islice(enumerate(_poisson_tails(alpha)), 1, cap + 1):
+def required_coherent_cutoff(alpha: complex, eps: float) -> int:
+    """Smallest cutoff whose truncation deficit is below eps; every larger one meets it too."""
+    for c, deficit in itertools.islice(enumerate(_poisson_tails(alpha)), 1, DENSE_DIMENSION_CAP + 1):
         if deficit < eps:
             return c
-    raise DimensionError(f"no cutoff below {cap} meets eps={eps} for |alpha|={abs(alpha)}")
+    raise DimensionError(f"no cutoff below {DENSE_DIMENSION_CAP} meets eps={eps} for |alpha|={abs(alpha)}")
 
 
 def make_coherent_superposition(
@@ -322,24 +322,17 @@ def make_coherent_superposition(
     num_modes = len(terms[0][1])
     if any(len(alphas) != num_modes for _, alphas in terms):
         raise DimensionError("all terms must supply amplitudes for every mode")
+    required = [[required_coherent_cutoff(alpha, eps) for alpha in alphas] for _, alphas in terms]
     if cutoffs is None:
-        per_mode = tuple(
-            max(required_coherent_cutoff(alphas[q], eps) for _, alphas in terms)
-            for q in range(num_modes)
-        )
-        cutoffs = ModeCutoffs(per_mode)
+        cutoffs = ModeCutoffs(tuple(map(max, zip(*required))))
     elif not isinstance(cutoffs, ModeCutoffs):
         cutoffs = ModeCutoffs(tuple(cutoffs))
-    for _, alphas in terms:
-        for q, alpha in enumerate(alphas):
-            deficit = coherent_truncation_deficit(alpha, cutoffs.cutoffs[q])
-            if not deficit < eps:
+    for (_, alphas), need in zip(terms, required):
+        for q, (alpha, c) in enumerate(zip(alphas, need)):
+            if cutoffs.cutoffs[q] < c:
+                deficit = coherent_truncation_deficit(alpha, cutoffs.cutoffs[q])
                 raise InsufficientCutoffError(
-                    mode=q,
-                    cutoff=cutoffs.cutoffs[q],
-                    required=required_coherent_cutoff(alpha, eps),
-                    deficit=deficit,
-                    eps=eps,
+                    mode=q, cutoff=cutoffs.cutoffs[q], required=c, deficit=deficit, eps=eps
                 )
     amps = np.zeros(cutoffs.total_dimension, dtype=complex)
     for coeff, alphas in terms:

@@ -41,7 +41,11 @@ from .fock import MOMENT_WORKING_CAP, Monomial, State, StateVector
 _HERMITICITY_TOL = 1e-10
 
 
-def _check_bipartition(modes_a, modes_b, num_modes):
+def _check_class(ops, modes_a, modes_b) -> None:
+    """Every monomial acts on the same number of modes, and the bipartition is valid."""
+    num_modes = ops[0].num_modes
+    if any(op.num_modes != num_modes for op in ops):
+        raise DimensionError("all monomials must act on the same number of modes")
     if not modes_a or not modes_b:
         raise DimensionError("both sides of the bipartition must be nonempty")
     if set(modes_a) & set(modes_b):
@@ -70,10 +74,7 @@ class OperatorClass:
         object.__setattr__(self, "modes_b", tuple(self.modes_b))
         if not self.side_a or not self.side_b:
             raise DimensionError("each side needs at least one monomial")
-        num_modes = self.side_a[0].num_modes
-        if any(op.num_modes != num_modes for op in self.side_a + self.side_b):
-            raise DimensionError("all monomials must act on the same number of modes")
-        _check_bipartition(self.modes_a, self.modes_b, num_modes)
+        _check_class(self.side_a + self.side_b, self.modes_a, self.modes_b)
         for op in self.side_a:
             if not set(op.support) <= set(self.modes_a):
                 raise DimensionError(f"side-A monomial {op.to_string()} leaves side-A modes")
@@ -142,10 +143,7 @@ class GenericClass:
         object.__setattr__(self, "modes_b", tuple(self.modes_b))
         if not self.ops:
             raise DimensionError("a generic class needs at least one monomial")
-        num_modes = self.ops[0].num_modes
-        if any(op.num_modes != num_modes for op in self.ops):
-            raise DimensionError("all monomials must act on the same number of modes")
-        _check_bipartition(self.modes_a, self.modes_b, num_modes)
+        _check_class(self.ops, self.modes_a, self.modes_b)
         for op in self.ops:
             if not set(op.support) <= set(self.modes_a) | set(self.modes_b):
                 raise DimensionError("monomial support leaves the declared bipartition")
@@ -439,19 +437,19 @@ def build_generic_moment_matrix(state: State | TableSource, cls: GenericClass) -
     return MomentMatrix(entries)
 
 
+def _checked_rows(r, size: int) -> tuple[int, ...]:
+    """r as ints, once it is a nonempty, strictly increasing list of 1-based rows of size."""
+    r = tuple(int(x) for x in r)
+    if not (r and r[0] >= 1 and r[-1] <= size and all(a < b for a, b in zip(r, r[1:]))):
+        raise IndexError(f"rows {list(r)} must be strictly increasing within 1..{size}")
+    return r
+
+
 def principal_submatrix(
     matrix: np.ndarray | MomentMatrix,
     r: tuple[int, ...],
 ) -> np.ndarray:
     """Principal submatrix keeping the 1-based rows/columns listed in r."""
     m = matrix.entries if hasattr(matrix, "entries") else np.asarray(matrix)
-    size = m.shape[0]
-    r = tuple(int(x) for x in r)
-    if not r:
-        raise IndexError("index list r must be nonempty")
-    if any(x < 1 or x > size for x in r):
-        raise IndexError(f"indices {r} out of range 1..{size}")
-    if any(b <= a for a, b in zip(r, r[1:])):
-        raise IndexError(f"indices {r} must be strictly increasing")
-    idx = [x - 1 for x in r]
+    idx = [x - 1 for x in _checked_rows(r, m.shape[0])]
     return m[np.ix_(idx, idx)]

@@ -97,12 +97,18 @@ def gell_mann_generators(n: int) -> list[np.ndarray]:
     return gens
 
 
-def _check_rotation(r: np.ndarray, dim: int) -> np.ndarray:
+def _orthogonal(r: np.ndarray, dim: int) -> np.ndarray:
+    """r as a real array, once it is dim x dim and orthogonal within 1e-10."""
     r = np.asarray(r, dtype=float)
     if r.shape != (dim, dim):
         raise DimensionError(f"rotation must be {dim}x{dim}, got {r.shape}")
     if np.max(np.abs(r @ r.T - np.eye(dim))) > _ORTHO_TOL:
         raise ValueError("rotation matrix is not orthogonal within 1e-10")
+    return r
+
+
+def _check_rotation(r: np.ndarray, dim: int) -> np.ndarray:
+    r = _orthogonal(r, dim)
     if abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
         raise ValueError("rotation matrix must have determinant +1 within 1e-10")
     return r
@@ -192,11 +198,7 @@ def breuer_unitary(phases: tuple[float, ...], rotation: np.ndarray | None = None
         dmat[2 * k + 1, 2 * k] = -phase
     if rotation is None:
         return dmat
-    r = np.asarray(rotation, dtype=float)
-    if r.shape != (d, d):
-        raise DimensionError(f"rotation must be {d}x{d}")
-    if np.max(np.abs(r @ r.T - np.eye(d))) > _ORTHO_TOL:
-        raise ValueError("rotation matrix is not orthogonal within 1e-10")
+    r = _orthogonal(rotation, d)
     return r @ dmat @ r.T
 
 
@@ -217,7 +219,6 @@ class PositiveMap:
     name: str
     dim: int
     matrix: np.ndarray
-    indecomposable: bool | None = None
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=complex)
@@ -237,7 +238,7 @@ def choi_map(p: ChoiParams) -> PositiveMap:
     matrix = -np.eye(9)
     diagonal = [0, 4, 8]  # vec positions of a00, a11, a22
     matrix[np.ix_(diagonal, diagonal)] += [[a, b, g], [g, a, b], [b, g, a]]
-    return PositiveMap(f"choi({a:g},{b:g},{g:g})", 3, matrix, indecomposable=not p.decomposable)
+    return PositiveMap(f"choi({a:g},{b:g},{g:g})", 3, matrix)
 
 
 def stormer_map() -> PositiveMap:
@@ -255,7 +256,7 @@ def breuer_map(p: BreuerParams) -> PositiveMap:
     transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)  # vec(A^T) = vec(A)[transpose]
     theta = np.kron(p.unitary, p.unitary.conj())[:, transpose]
     matrix = np.outer(vec_eye, vec_eye) - np.eye(d * d) - theta
-    return PositiveMap(f"breuer(d={d})", d, matrix, indecomposable=True)
+    return PositiveMap(f"breuer(d={d})", d, matrix)
 
 
 def apply_partial(

@@ -145,18 +145,14 @@ def two_qubit_density(source: State | TableSource) -> DensityMatrix:
 def _validated_density(rho: np.ndarray, cutoffs: ModeCutoffs, label: str) -> DensityMatrix:
     herm = np.max(np.abs(rho - rho.conj().T))
     tr = np.trace(rho)
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
-    if herm > _DENSITY_TOL or abs(tr - 1.0) > _DENSITY_TOL or min_eig < -_DENSITY_TOL:
+    eigvals, eigvecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+    if herm > _DENSITY_TOL or abs(tr - 1.0) > _DENSITY_TOL or eigvals[0] < -_DENSITY_TOL:
         raise InconsistentMomentsError(
             "reconstructed matrix violates density-matrix constraints: "
-            f"hermiticity defect {herm:.2e}, trace {tr:.6f}, min eigenvalue {min_eig:.2e}"
+            f"hermiticity defect {herm:.2e}, trace {tr:.6f}, min eigenvalue {eigvals[0]:.2e}"
         )
     # Clean the sub-tolerance defects so the strict state invariants hold.
-    rho = (rho + rho.conj().T) / 2
-    rho = rho / np.trace(rho).real
-    eigvals, eigvecs = np.linalg.eigh(rho)
-    eigvals = np.clip(eigvals, 0.0, None)
-    rho = (eigvecs * eigvals) @ eigvecs.conj().T
+    rho = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.conj().T
     rho = rho / np.trace(rho).real
     return DensityMatrix(cutoffs, rho, label=f"reconstructed:{label}")
 

@@ -42,7 +42,6 @@ def test_stormer_special_case():
     p = stormer()
     assert (p.alpha, p.beta, p.gamma) == (2.0, 0.0, 1.0)
     assert not p.decomposable
-    assert stormer_map().indecomposable
 
 
 def test_choi_action_on_identity_and_basis():

@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 
 from momentcrit import regression
 from momentcrit.criteria import Outcome
-from momentcrit.regression import fixtures, run_regression_suite
+from momentcrit.regression import fixtures
 
 
 def test_fixture_ids_unique_and_table_complete():
     ids = [f.fixture_id for f in fixtures()]
-    assert len(ids) == len(set(ids))  # expected_overrides keys on the id
+    assert len(ids) == len(set(ids))
     assert len(ids) >= 68  # the table must not shrink unnoticed
 
 
@@ -24,16 +26,15 @@ def test_listing_the_table_builds_no_state(monkeypatch):
 
 def test_regression_harness_detects_perturbation():
     # one row of each comparison kind: number, array, bool, Outcome
-    singlet_m = np.diag([1, 0.5, 0.5, 0]).astype(complex)
-    report = run_regression_suite(
-        expected_overrides={
-            "singlet.pt_det": -1 / 16 + 1e-3,
-            "singlet.moment_matrix": singlet_m,
-            "stormer.indecomposable": False,
-            "singlet.hz_outcome": Outcome.INCONCLUSIVE,
-        }
-    )
-    failed = [r.fixture_id for r in report.results if not r.passed]
+    overrides = {
+        "singlet.pt_det": -1 / 16 + 1e-3,
+        "singlet.moment_matrix": np.diag([1, 0.5, 0.5, 0]).astype(complex),
+        "stormer.indecomposable": False,
+        "singlet.hz_outcome": Outcome.INCONCLUSIVE,
+    }
+    rows = [dataclasses.replace(f, expected=overrides.get(f.fixture_id, f.expected))
+            for f in fixtures()]
+    failed = [r.fixture_id for r in map(regression.check, rows) if not r.passed]
     assert failed == [
         "singlet.moment_matrix", "singlet.pt_det", "singlet.hz_outcome", "stormer.indecomposable"
     ]

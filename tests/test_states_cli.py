@@ -79,21 +79,6 @@ def test_library_thermal_mean_occupation():
     assert abs(n - 0.7) < 1e-9
 
 
-def test_config_round_trip():
-    raw = {
-        "state": {"library": "singlet"},
-        "criteria": [
-            {"name": "pt_norm", "class": {"side_a": ["1", "a"], "side_b": ["1", "b"]}},
-            {"name": "hz_two_mode"},
-        ],
-        "epsilon": 1e-10,
-        "format": "structured",
-    }
-    cfg = RunConfig.from_dict(raw)
-    again = RunConfig.from_dict(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
-
-
 def test_config_rejects_unknown_criterion():
     with pytest.raises(ValueError):
         RunConfig.from_dict({"state": {"library": "singlet"}, "criteria": [{"name": "zzz"}]})
@@ -298,6 +283,27 @@ def test_cli_config_error_diagnostics(tmp_path, capsys):
         ({"epsilon": 0}, "epsilon: expected a number in (0, 1), got 0.0"),
         ({"epsilon": float("nan")}, "epsilon: expected a number in (0, 1), got nan"),
         ({"epsilon": float("inf")}, "epsilon: expected a number in (0, 1), got inf"),
+        # the map parameters too: on the singlet these bools ran as 1.0, the Choi map's
+        # giving ENTANGLED (exit 3)
+        ({"criteria": [{"name": "map", "map": {"kind": "choi", "alpha": True, "beta": True,
+                                               "gamma": True}}]},
+         "criteria[0] (map) key 'map': alpha: expected a number, got True"),
+        ({"criteria": [{"name": "map", "map": {"kind": "breuer", "phases": [True, False]}}]},
+         "criteria[0] (map) key 'map': phases: expected a number, got True"),
+        ({"criteria": [{"name": "map", "map": {"kind": "kossakowski", "rotation": [
+            [True if i == j else 0 for j in range(8)] for i in range(8)]}}]},
+         "criteria[0] (map) key 'map': rotation: expected a number, got True"),
+        ({"criteria": [{"name": "map", "map": {"kind": "breuer", "phases": "01"}}]},
+         "criteria[0] (map) key 'map': phases: expected a list of numbers, got '01'"),
+        # state_ppt's dims are [d_a, d_b]: [-1, -4] ended as an ERROR record, and
+        # [2, 2, 5] ran as [2, 2]
+        ({"criteria": [{"name": "state_ppt", "dims": [-1, -4]}]},
+         "criteria[0] (state_ppt) key 'dims': expected two integers >= 1, got (-1, -4)"),
+        ({"criteria": [{"name": "state_ppt", "dims": [2, 2, 5]}]},
+         "criteria[0] (state_ppt) key 'dims': expected two integers >= 1, got (2, 2, 5)"),
+        # r and r_list together: r_list was dropped, and the singlet read INCONCLUSIVE
+        ({"criteria": [{"name": "pt_sylvester", "r": [1, 2], "r_list": [[1, 4]]}]},
+         "criteria[0] (pt_sylvester): give 'r' or 'r_list', not both"),
     ],
 )
 def test_cli_rejects_bad_config_before_running(tmp_path, capsys, change, named):
