@@ -66,7 +66,8 @@ def main():
             errors += report["error_count"]
             for rec in report["verdicts"]:
                 if rec["outcome"] in ("ENTANGLED", "ERROR"):
-                    detail = rec.get("error") or rec["witness"]
+                    detail = rec.get("error") or {  # the scalar witnesses, not array refs
+                        k: v for k, v in rec["witness"].items() if isinstance(v, (int, float))}
                     print(f"{rec['outcome']} on #{i} ({source.label}) by {rec['criterion']}: {detail}")
     elapsed = time.perf_counter() - start
     print(

@@ -66,7 +66,7 @@ from .reconstruct import TableSource, reconstruct_density, state_level_tests, tw
 from .regression import run_regression_suite
 from .states import build_state, list_states
 
-REPORT_SCHEMA = "momentcrit-report/1"
+REPORT_SCHEMA = "momentcrit-report/2"
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -178,11 +178,35 @@ def _jsonify(value):
     return value
 
 
-def verdict_to_dict(v: Verdict) -> dict:
+def _array_ref(arrays: dict, value: np.ndarray) -> int:
+    """The index of value in a report's array table, adding it if no entry matches.
+
+    Two arrays are one entry only if dtype, shape and bytes all match, so -0.0 and
+    NaN payloads survive; ``arrays`` maps that key to (index, JSON form).
+    """
+    key = (value.dtype.str, value.shape, value.tobytes())
+    if key not in arrays:
+        arrays[key] = (len(arrays), _jsonify(value))
+    return arrays[key][0]
+
+
+def _witness_field(arrays: dict, value, view):
+    """One witness value as report JSON; an array, or the base of a declared view,
+    goes into the array table and is written as a reference to its entry."""
+    if view is not None:
+        name, base, params = view
+        return {"array": _array_ref(arrays, base), "view": name, **params}
+    if isinstance(value, np.ndarray):
+        return {"array": _array_ref(arrays, value)}
+    return _jsonify(value)
+
+
+def verdict_to_dict(v: Verdict, arrays: dict) -> dict:
+    """One report record; its witness arrays go into the table ``arrays``."""
     return {
         "criterion": v.criterion,
         "outcome": v.outcome.value,
-        "witness": _jsonify(v.witness),
+        "witness": {k: _witness_field(arrays, x, v.views.get(k)) for k, x in v.witness.items()},
         "threshold": v.threshold,
         "tol": v.tol,
         "boundary": v.boundary,
@@ -343,6 +367,8 @@ def _breuer(p: dict):
     dim = p.get("dim", 4)
     if "phases" in p:
         return breuer_map(BreuerParams(dim, breuer_unitary(p["phases"], p.get("rotation"))))
+    if "rotation" in p:  # it conjugates the phase blocks, so alone it would be ignored
+        raise ConfigError("rotation: a breuer map takes 'rotation' only together with 'phases'")
     return breuer_map(BreuerParams(dim, breuer_antidiagonal_unitary(dim)))
 
 
@@ -468,15 +494,19 @@ def _criterion_spec(idx: int, entry) -> CriterionSpec:
 
 
 def analyze_state(state, criteria: list[CriterionSpec], tol: float | None = None) -> dict:
-    """Run prepared criteria on a state or moment table; failures become ERROR records."""
+    """Run prepared criteria on a state or moment table; failures become ERROR records.
+
+    The report (``REPORT_SCHEMA``) ends with ``arrays``, the table of witness arrays
+    that the records refer to, each distinct array once (see ``_array_ref``).
+    """
     label = getattr(state, "label", "state")
-    records = []
+    records, arrays = [], {}
     entangled = errors = 0
     for spec in criteria:
         try:
             result = spec.call(state, tol=tol)
             for v in result if isinstance(result, list) else [result]:
-                records.append(verdict_to_dict(v))
+                records.append(verdict_to_dict(v, arrays))
                 entangled += int(v.outcome is Outcome.ENTANGLED)
         except Exception as exc:
             errors += 1
@@ -490,6 +520,7 @@ def analyze_state(state, criteria: list[CriterionSpec], tol: float | None = None
         "entangled_count": entangled,
         "error_count": errors,
         "summary": summary,
+        "arrays": [encoded for _, encoded in arrays.values()],
     }
 
 
@@ -521,15 +552,17 @@ def format_human(report: dict) -> str:
 
 
 def format_structured(report: dict) -> str:
-    """The report as JSON: an indented header and one compact line per verdict.
+    """The report as JSON: an indented header and one compact line per verdict and
+    per array.
 
     ``json.dumps`` with ``indent`` set runs the pure-Python encoder, which costs more
-    than the criteria on witness matrices; each verdict goes through the C encoder.
+    than the criteria on witness matrices; each verdict and array goes through the C
+    encoder.
     """
     fields = []
     for key, value in report.items():
-        if key == "verdicts" and value:
-            text = "[\n" + ",\n".join(f"    {json.dumps(rec)}" for rec in value) + "\n  ]"
+        if key in ("verdicts", "arrays") and value:
+            text = "[\n" + ",\n".join(f"    {json.dumps(item)}" for item in value) + "\n  ]"
         else:
             text = json.dumps(value)
         fields.append(f"  {json.dumps(key)}: {text}")

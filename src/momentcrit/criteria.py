@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -40,7 +40,7 @@ from .posmaps import (
     breuer_antidiagonal_unitary,
     breuer_map,
 )
-from .reorder import build_pt_moment_matrix, nu_gamma, nu_realign
+from .reorder import build_pt_moment_matrix, nu_gamma, nu_realign, partial_transpose
 
 TOL_EXACT = 1e-9
 TOL_COHERENT = 1e-6
@@ -65,6 +65,9 @@ class Verdict:
     tol: float
     boundary: bool = False
     provenance: dict = field(default_factory=dict)
+    #: witness key -> (view name, base array, view params) where witness[key] is that
+    #: view of base; a report writes base once and the view as a reference to it
+    views: dict = field(default_factory=dict)
 
     @property
     def entangled(self) -> bool:
@@ -195,15 +198,21 @@ def sylvester_scan(
 
 
 def pt_min_eig_test(state: State, cls: OperatorClass, tol: float | None = None) -> Verdict:
-    """Minimum eigenvalue of the moment matrix of the partially transposed state."""
+    """Minimum eigenvalue of the moment matrix of the partially transposed state.
+
+    The witness matrix is M^Gamma = partial_transpose(M, "B") of the state's own
+    moment matrix M, and the verdict declares it as that view of M.
+    """
     tol = resolve_tol(state, tol)
-    m = build_pt_moment_matrix(state, cls)
-    return min_eig_test(
-        m,
+    m = build_moment_matrix(state, cls)
+    verdict = min_eig_test(
+        partial_transpose(m, "B"),
         tol=tol,
         criterion="pt_min_eig",
         provenance={"class": cls.describe(), "state": getattr(state, "label", "state")},
     )
+    view = ("partial_transpose_B", m.entries, {"d_a": m.d_a, "d_b": m.d_b})
+    return replace(verdict, views={"matrix": view})
 
 
 def pt_sylvester_test(

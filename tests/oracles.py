@@ -511,3 +511,105 @@ def jsonify_array_elementwise(value: np.ndarray) -> list:
     if np.iscomplexobj(value):
         return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(value)]
     return [[float(x) for x in row] for row in np.atleast_2d(value)]
+
+
+# -- structured reports -------------------------------------------------------------
+
+
+def partial_transpose_b_rule(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """The report's view rule: out[(k,l),(k',l')] = m[(k,l'),(k',l)], row (k, l) at
+    l * d_a + k.  Only the first two axes move, so [re, im] pairs move whole."""
+    k, l = np.arange(d_a * d_b) % d_a, np.arange(d_a * d_b) // d_a
+    return np.asarray(m)[k[:, None] + d_a * l[None, :], k[None, :] + d_a * l[:, None]]
+
+
+def resolve_report(report: dict) -> dict:
+    """The report with every array reference replaced by the array it names (a view
+    resolved by its rule) and without the ``arrays`` table: the v1 inline form."""
+    arrays = report["arrays"]
+    out = {k: v for k, v in report.items() if k != "arrays"}
+    out["verdicts"] = []
+    for rec in report["verdicts"]:
+        rec = dict(rec)
+        if "witness" in rec:
+            rec["witness"] = {k: _resolved(arrays, v) for k, v in rec["witness"].items()}
+        out["verdicts"].append(rec)
+    return out
+
+
+def _resolved(arrays: list, value):
+    if not (isinstance(value, dict) and "array" in value):
+        return value
+    base = arrays[value["array"]]
+    if "view" not in value:
+        return base
+    assert value["view"] == "partial_transpose_B", f"unknown view {value['view']!r}"
+    return partial_transpose_b_rule(np.array(base), value["d_a"], value["d_b"]).tolist()
+
+
+def _complex_matrix(raw) -> np.ndarray:
+    """A report array ([re, im] pairs or plain numbers) as an ndarray, bit for bit."""
+    a = np.array(raw, dtype=float)
+    return np.ascontiguousarray(a).view(complex)[..., 0] if a.ndim == 3 else a
+
+
+def _class_dims(provenance: dict) -> tuple[int, int]:
+    """(d_a, d_b) of a tensor class recorded as "(ops,...)x(ops,...)"."""
+    side_a, side_b = provenance["class"][1:-1].split(")x(")
+    return len(side_a.split(",")), len(side_b.split(","))
+
+
+def _normalized_trace_norm(matrix: np.ndarray, m: np.ndarray) -> float:
+    return float(np.sum(np.linalg.svd(matrix, compute_uv=False)) / np.trace(m).real)
+
+
+# scalar witness key -> (key of the matrix it is read from, recompute(matrix, provenance))
+_RECHECKS = {
+    "min_eigenvalue": ("matrix", lambda m, p: float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])),
+    "min_principal_minor": ("submatrix", lambda m, p: float(np.linalg.det(m).real)),
+    "nu_gamma": ("moment_matrix", lambda m, p: _normalized_trace_norm(
+        partial_transpose_b_rule(m, *_class_dims(p)), m)),
+    "nu_realign": ("moment_matrix", lambda m, p: _normalized_trace_norm(
+        brute_realignment(m, *_class_dims(p)[::-1]), m)),
+}
+# the value a verdict decides on: the first of these keys its witness has
+_DECISION_KEYS = ("min_eigenvalue", "min_principal_minor", "nu_gamma", "nu_realign",
+                  "trace_norm", "det", "margin")
+_NORM_KEYS = {"nu_gamma", "nu_realign", "trace_norm"}
+
+
+def recheck(report: dict) -> int:
+    """Recheck a structured report from the report alone; return the number of
+    witnesses recomputed.
+
+    Refs and views are resolved, each scalar witness that one of ``_RECHECKS``
+    covers is recomputed from its recorded matrix (within rounding, scaled by the
+    matrix), and the threshold is reapplied to the decision value with the recorded
+    ``tol``: the outcome and the boundary flag must follow.  AssertionError names
+    the first record that disagrees.
+    """
+    recomputed = 0
+    for i, rec in enumerate(resolve_report(report)["verdicts"]):
+        if rec["outcome"] == "ERROR":
+            continue
+        where = f"record {i} ({rec['criterion']})"
+        w, tol, threshold = rec["witness"], rec["tol"], rec["threshold"]
+        for key, (source, recompute) in _RECHECKS.items():
+            if key not in w or w.get("r", ()) is None:  # a scan with no finite minor
+                continue
+            m = _complex_matrix(w[source])
+            value = recompute(m, rec["provenance"])
+            scale = max(1.0, float(np.max(np.abs(m))) * len(m))
+            assert abs(value - w[key]) <= 1e-9 * scale, f"{where}: {key} {w[key]!r}, recomputed {value!r}"
+            recomputed += 1
+        key = next((k for k in _DECISION_KEYS if k in w), None)
+        value = w[key] if key else min(v for k, v in w.items() if k.startswith("det_"))
+        if key in _NORM_KEYS:
+            entangled, boundary = value > threshold + tol, abs(value - threshold) <= tol
+        else:
+            entangled = value < threshold - tol
+            boundary = not entangled and abs(value - threshold) <= tol
+        assert (rec["outcome"] == "ENTANGLED") == entangled, f"{where}: {rec['outcome']} for {value!r}"
+        assert rec["boundary"] == boundary, f"{where}: boundary {rec['boundary']} for {value!r}"
+    return recomputed
+

@@ -132,7 +132,7 @@ def test_cli_analyze_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_ENTANGLED
     payload = json.loads(out)
-    assert payload["schema"] == "momentcrit-report/1"
+    assert payload["schema"] == "momentcrit-report/2"
     assert payload["entangled_count"] == 1
 
     cfg["state"] = {"library": "product_coherent", "params": {"alpha": 0.2, "beta": 0.1}}
@@ -304,6 +304,12 @@ def test_cli_config_error_diagnostics(tmp_path, capsys):
         # r and r_list together: r_list was dropped, and the singlet read INCONCLUSIVE
         ({"criteria": [{"name": "pt_sylvester", "r": [1, 2], "r_list": [[1, 4]]}]},
          "criteria[0] (pt_sylvester): give 'r' or 'r_list', not both"),
+        # a Breuer rotation without phases was ignored: the singlet read ENTANGLED (exit 3)
+        # with the anti-diagonal unitary
+        ({"criteria": [{"name": "map", "map": {"kind": "breuer", "rotation": [
+            [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]}}]},
+         "criteria[0] (map) key 'map': rotation: a breuer map takes 'rotation' only together "
+         "with 'phases'"),
     ],
 )
 def test_cli_rejects_bad_config_before_running(tmp_path, capsys, change, named):
@@ -427,7 +433,7 @@ def test_cli_complex_serialization(tmp_path, capsys):
     code = main(["analyze", str(path)])
     payload = json.loads(capsys.readouterr().out)
     assert code == EXIT_ENTANGLED
-    sub = payload["verdicts"][0]["witness"]["submatrix"]
+    sub = payload["arrays"][payload["verdicts"][0]["witness"]["submatrix"]["array"]]
     # complex entries serialized as [re, im] pairs of the in-memory witness
     std = OperatorClass.from_strings(["1", "a"], ["1", "b"])
     expected = pt_sylvester_test(states.singlet(), std, r_list=[(1, 4)]).witness["submatrix"]
