@@ -11,7 +11,8 @@ is the one criterion table.  ``RunConfig.from_dict`` checks every entry's keys
 and values against it, and its rows ``r``/``r_list`` against its class, and
 prepares each call before any state is built; it also refuses unknown
 top-level keys and a state object that mixes kinds or carries a key its kind
-does not take (``_STATE_KINDS``).
+does not take (``_STATE_KINDS``), and converts inline amplitudes or a density
+matrix into an ndarray.  ``analyze`` reads its config through ``_read_config``.
 ``analyze_state`` runs the prepared calls on a state or moment table.  Checks
 that need the state (whether the modes exist, map dimension) stay with the
 criterion and end as ERROR records.
@@ -25,10 +26,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 from collections.abc import Callable
 from functools import partial
+from itertools import chain
 from operator import index
 
 import numpy as np
@@ -101,7 +104,7 @@ class RunConfig:
         _parse("config", lambda r: _check_keys(r, _CONFIG_KEYS), raw)
         if "state" not in raw:
             raise ConfigError("config field 'state' is required")
-        _state_kind(raw["state"])
+        kind = _state_kind(raw["state"])
         criteria = raw.get("criteria", [])
         if not isinstance(criteria, list):
             raise ConfigError("config field 'criteria' must be a list")
@@ -109,7 +112,7 @@ class RunConfig:
         if fmt not in ("human", "structured"):
             raise ConfigError("config field 'format' must be 'human' or 'structured'")
         cutoff, tol = raw.get("cutoff"), raw.get("tol")
-        return cls(
+        config = cls(
             state=raw["state"],
             criteria=[_criterion_spec(idx, entry) for idx, entry in enumerate(criteria)],
             cutoff=None if cutoff is None else _parse("cutoff", _int, cutoff),
@@ -117,6 +120,9 @@ class RunConfig:
             tol=None if tol is None else _parse("tol", _tol, tol),
             output_format=fmt,
         )
+        if kind in _ARRAY_NDIM:  # after every other check, as when the state was built
+            config.state = _with_array(raw["state"], kind)
+        return config
 
 
 # -- JSON <-> value helpers ----------------------------------------------------
@@ -131,18 +137,28 @@ def _parse(where: str, convert, value):
 
 
 def _complex_from(pair) -> complex:
-    if isinstance(pair, (int, float)):
-        return complex(pair)
-    if isinstance(pair, list) and len(pair) == 2:
-        return complex(pair[0], pair[1])
-    raise ConfigError(f"expected a number or [re, im] pair, got {pair!r}")
+    """A number or [re, im] pair as a complex, refusing JSON booleans, which complex()
+    reads as 0 and 1."""
+    parts = pair if isinstance(pair, list) and len(pair) == 2 else [pair]
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in parts):
+        raise ConfigError(f"expected a number or [re, im] pair, got {pair!r}")
+    return complex(*parts)
+
+
+def _leaf_types(raw, depth: int) -> set:
+    """The types of the items of a regular nest of lists that is depth >= 1 levels deep."""
+    for _ in range(depth - 1):
+        raw = chain.from_iterable(raw)
+    return set(map(type, raw))
 
 
 def _complex_array(raw, ndim: int) -> np.ndarray:
     """An ndim-deep nest of lists of numbers or [re, im] pairs as a complex array.
 
     A regular nest of only numbers, or of only pairs, converts in one step; anything
-    else (strings, None, ragged rows, scalars mixed with pairs) goes element by element.
+    else (strings, None, booleans, ragged rows, scalars mixed with pairs) goes element
+    by element, which refuses what is not a number.  numpy reads a boolean among
+    numbers as 0 or 1, so the one-step path checks the type of every leaf.
     """
     if ndim == 0:
         return _complex_from(raw)
@@ -150,12 +166,13 @@ def _complex_array(raw, ndim: int) -> np.ndarray:
         arr = np.array(raw)
     except ValueError:  # ragged rows
         arr = None
-    if arr is not None and arr.dtype.kind in "iuf":
-        if arr.ndim == ndim:
-            return arr.astype(complex)
-        if arr.ndim == ndim + 1 and arr.shape[-1] == 2:
-            # re-pairs viewed as complex, so an infinite imaginary part stays imaginary
-            return np.ascontiguousarray(arr, float).view(complex)[..., 0]
+    regular = (arr is not None and arr.dtype.kind in "iuf" and arr.ndim in (ndim, ndim + 1)
+               and bool not in _leaf_types(raw, arr.ndim))
+    if regular and arr.ndim == ndim:
+        return arr.astype(complex)
+    if regular and arr.shape[-1] == 2:
+        # re-pairs viewed as complex, so an infinite imaginary part stays imaginary
+        return np.ascontiguousarray(arr, float).view(complex)[..., 0]
     return np.array([_complex_array(x, ndim - 1) for x in raw], dtype=complex)
 
 
@@ -221,6 +238,8 @@ _CONFIG_KEYS = {"state", "criteria", "format", "cutoff", "epsilon", "tol"}
 # state kind -> the other keys a state of that kind takes
 _STATE_KINDS = {"library": {"params"}, "amplitudes": {"cutoffs", "label"},
                 "density": {"cutoffs", "label"}, "moments": {"dims", "label"}}
+# state kind given inline as an array -> its number of dimensions
+_ARRAY_NDIM = {"amplitudes": 1, "density": 2}
 
 
 def _state_kind(spec) -> str:
@@ -259,12 +278,37 @@ def _state_from_config(cfg: RunConfig):
             spec["moments"],
         )
         return TableSource(table, len(dims), label=spec.get("label", "moment-table"), dims=dims)
+    make = StateVector if kind == "amplitudes" else DensityMatrix
+    cutoffs = ModeCutoffs(_parse("state.cutoffs", _ints, spec["cutoffs"]))
+    return make(cutoffs, spec[kind], label=spec.get("label", "custom"))
+
+
+def _with_array(spec: dict, kind: str) -> dict:
+    """A copy of an amplitudes or density state object with its values as one complex
+    ndarray; the caller's dict keeps its lists."""
     if "cutoffs" not in spec:
         raise ConfigError(f"state.{kind} requires state.cutoffs")
-    make, ndim = (StateVector, 1) if kind == "amplitudes" else (DensityMatrix, 2)
-    values = _parse(f"state.{kind}", partial(_complex_array, ndim=ndim), spec[kind])
-    cutoffs = ModeCutoffs(_parse("state.cutoffs", _ints, spec["cutoffs"]))
-    return make(cutoffs, values, label=spec.get("label", "custom"))
+    values = _parse(f"state.{kind}", partial(_complex_array, ndim=_ARRAY_NDIM[kind]), spec[kind])
+    return {**spec, kind: values}
+
+
+def _read_config(path: str) -> RunConfig:
+    """Open, decode and check a config file with the cyclic garbage collector paused.
+
+    An inline 16x16 density matrix decodes into 65k ``[re, im]`` lists, and the
+    collections that their allocation sets off walk all of them, again and again.
+    JSON decoding makes no reference cycles, so the pause leaves nothing for the
+    collector to find: ``from_dict`` turns the lists into an ndarray, and reference
+    counting frees them as soon as it returns, before the collector is back on.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as fh:
+            return RunConfig.from_dict(json.loads(fh.read()))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- criterion table -----------------------------------------------------------
@@ -643,14 +687,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # analyze
     try:
-        with open(args.config) as fh:
-            text = fh.read()
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            print(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
-            return EXIT_CONFIG
-        config = RunConfig.from_dict(raw)
+        config = _read_config(args.config)
         if args.cutoff is not None:
             config.cutoff = args.cutoff
         if args.epsilon is not None:
@@ -659,6 +696,9 @@ def main(argv: list[str] | None = None) -> int:
             config.tol = _parse("--tol", _tol, args.tol)
         if args.format is not None:
             config.output_format = args.format
+    except json.JSONDecodeError as exc:
+        print(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

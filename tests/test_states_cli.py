@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import gc
 import json
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from momentcrit.cli import (
     ConfigError,
     RunConfig,
     _complex_array,
+    _read_config,
     _state_from_config,
     _state_ppt,
     main,
@@ -310,6 +314,19 @@ def test_cli_config_error_diagnostics(tmp_path, capsys):
             [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]}}]},
          "criteria[0] (map) key 'map': rotation: a breuer map takes 'rotation' only together "
          "with 'phases'"),
+        # a JSON bool in a state number ran as 1 or 0 (exit 0); numpy reads a bool among
+        # numbers as one, so an array with a single bool is refused too
+        ({"state": {"density": [[True, False], [False, False]], "cutoffs": [2]}},
+         "state.density: expected a number or [re, im] pair, got True"),
+        ({"state": {"density": [[[0.5, 0], [0, False]], [[0, 0], [0.5, 0]]], "cutoffs": [2]}},
+         "state.density: expected a number or [re, im] pair, got [0, False]"),
+        ({"state": {"amplitudes": [True, False, False, False], "cutoffs": [2, 2]},
+          "criteria": [{"name": "pt_min_eig"}]},
+         "state.amplitudes: expected a number or [re, im] pair, got True"),
+        ({"state": {"amplitudes": [0.6, True, 0, 0], "cutoffs": [2, 2]}},
+         "state.amplitudes: expected a number or [re, im] pair, got True"),
+        ({"state": {"moments": {"1": True}, "dims": [2, 2]}},
+         "state.moments: expected a number or [re, im] pair, got True"),
     ],
 )
 def test_cli_rejects_bad_config_before_running(tmp_path, capsys, change, named):
@@ -489,7 +506,7 @@ def _per_element(raw):
     [
         [[[1.5, -0.0], [0, 2]], [[-1, float("inf")], [0.25, -3e-300]]],  # pairs
         [[1, -0.0], [2.5, float("inf")]],  # plain numbers
-        [[1, [0.0, -2.0]], [[0.5, 1], True]],  # numbers mixed with pairs
+        [[1, [0.0, -2.0]], [[0.5, 1], 3]],  # numbers mixed with pairs
     ],
 )
 def test_density_ingest_matches_the_per_element_reading(raw):
@@ -507,6 +524,75 @@ def test_cli_bad_density_entries_exit_2(tmp_path, capsys, density):
     path.write_text(json.dumps({"state": {"density": density, "cutoffs": [2]}, "criteria": []}))
     assert main(["analyze", str(path)]) == EXIT_CONFIG
     assert "state.density" in capsys.readouterr().err
+
+
+@contextlib.contextmanager
+def _collector(on: bool):
+    """The cyclic garbage collector switched on or off for the block, then restored."""
+    was = gc.isenabled()
+    (gc.enable if on else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "text, code, named",
+    [
+        (json.dumps({"state": {"density": [[0.5, 0], [0, 0.5]], "cutoffs": [2]}}), EXIT_OK, None),
+        ("{ not json", EXIT_CONFIG, "config parse error at line 1, column 3: Expecting property"),
+        (None, EXIT_CONFIG, "config error: [Errno 2] No such file or directory"),
+        (json.dumps({"state": {"density": [[0.5, "x"], [0, 0.5]], "cutoffs": [2]}}), EXIT_CONFIG,
+         "config error: state.density: expected a number or [re, im] pair, got 'x'"),
+    ],
+    ids=["ok", "parse-error", "missing-file", "bad-density"],
+)
+def test_analyze_leaves_the_collector_as_it_found_it(tmp_path, capsys, on, text, code, named):
+    # the config reader pauses the collector and must switch it back on only if it was on
+    path = tmp_path / "c.json"
+    if text is not None:
+        path.write_text(text)
+    with _collector(on):
+        assert main(["analyze", str(path)]) == code
+        assert gc.isenabled() is on
+    err = capsys.readouterr().err
+    assert err == "" if named is None else named in err
+
+
+def test_config_read_runs_no_collection(tmp_path):
+    # 4096 [re, im] lists would set off several young collections
+    path = tmp_path / "c.json"
+    rho = np.eye(64) / 64
+    path.write_text(json.dumps({"state": {"density": [[[x, 0.0] for x in row] for row in rho],
+                                          "cutoffs": [8, 8]}}))
+    starts = [0]
+
+    def count(phase, info):
+        starts[0] += phase == "start"
+
+    with _collector(True):
+        gc.callbacks.append(count)
+        try:
+            config = _read_config(str(path))
+        finally:
+            gc.callbacks.remove(count)
+    assert starts[0] == 0
+    assert config.state["density"].tobytes() == rho.astype(complex).tobytes()
+
+
+@pytest.mark.parametrize("state", [
+    {"density": [[[0.5, 0.0], [0, 0]], [[0, 0], [0.5, 0]]], "cutoffs": [2], "label": "m"},
+    {"amplitudes": [0, 1, [-1, 0], 0], "cutoffs": [2, 2]},
+], ids=["density", "amplitudes"])
+def test_from_dict_leaves_the_callers_config_unchanged(state):
+    raw = {"state": state, "criteria": [{"name": "pt_norm"}]}
+    before = copy.deepcopy(raw)
+    config = RunConfig.from_dict(raw)
+    assert raw == before
+    kind = next(k for k in ("density", "amplitudes") if k in state)
+    assert config.state[kind].dtype == complex and config.state["cutoffs"] == state["cutoffs"]
 
 
 def test_state_ppt_reads_table_dims_only_for_two_modes():
