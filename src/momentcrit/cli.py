@@ -6,9 +6,11 @@ Subcommands:
   list-states             show the named state library
   list-criteria           show the criterion names and the keys each accepts
 
-Config and report are JSON; complex numbers are [re, im] pairs.  ``CRITERIA``
-is the one criterion table.  ``RunConfig.from_dict`` checks every entry's keys
-and values against it, and its rows ``r``/``r_list`` against its class, and
+Config and report are JSON; complex numbers are [re, im] pairs, except in the
+report's ``arrays`` table, which holds each witness array's exact bytes.
+``CRITERIA`` is the one criterion table.  ``RunConfig.from_dict`` checks every
+entry's keys and values against it, its rows ``r``/``r_list`` against its class,
+and the minor count of a full Sylvester scan against the budget, and
 prepares each call before any state is built; it also refuses unknown
 top-level keys and a state object that mixes kinds or carries a key its kind
 does not take (``_STATE_KINDS``), and converts inline amplitudes or a density
@@ -25,6 +27,7 @@ verdict; 2 = config error; 1 = internal error (analyze) / failures (regress).
 from __future__ import annotations
 
 import argparse
+import base64
 import dataclasses
 import gc
 import json
@@ -41,6 +44,7 @@ from .criteria import (
     Verdict,
     breuer_bell_test,
     breuer_inequality_test,
+    check_scan_budget,
     generic_pt_det_test,
     hz_three_mode,
     hz_two_mode,
@@ -69,7 +73,7 @@ from .reconstruct import TableSource, reconstruct_density, state_level_tests, tw
 from .regression import run_regression_suite
 from .states import build_state, list_states
 
-REPORT_SCHEMA = "momentcrit-report/2"
+REPORT_SCHEMA = "momentcrit-report/3"
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -198,13 +202,17 @@ def _jsonify(value):
 def _array_ref(arrays: dict, value: np.ndarray) -> int:
     """The index of value in a report's array table, adding it if no entry matches.
 
-    Two arrays are one entry only if dtype, shape and bytes all match, so -0.0 and
-    NaN payloads survive; ``arrays`` maps that key to (index, JSON form).
+    ``arrays`` maps (dtype, shape, bytes) of each array, little-endian and in C order,
+    to its index, so two arrays are one entry only if all three match and -0.0 and
+    NaN payloads survive.
     """
-    key = (value.dtype.str, value.shape, value.tobytes())
-    if key not in arrays:
-        arrays[key] = (len(arrays), _jsonify(value))
-    return arrays[key][0]
+    value = value.astype(value.dtype.newbyteorder("<"), copy=False)
+    return arrays.setdefault((value.dtype.str, value.shape, value.tobytes()), len(arrays))
+
+
+def _array_entry(dtype: str, shape: tuple, data: bytes) -> dict:
+    """One entry of the report's ``arrays``: an array's exact bytes in base64."""
+    return {"dtype": dtype, "shape": list(shape), "base64": base64.b64encode(data).decode("ascii")}
 
 
 def _witness_field(arrays: dict, value, view):
@@ -531,6 +539,10 @@ def _criterion_spec(idx: int, entry) -> CriterionSpec:
     n = cls.size if isinstance(cls, GenericClass) else cls.d_a * cls.d_b
     for r in [parsed["r"]] if "r" in parsed else parsed.get("r_list", []):
         _parse(where, partial(_checked_rows, size=n), r)
+    if "max_minor_size" in criterion.keys and "r" not in parsed and "r_list" not in parsed:
+        # a full scan, whose minor count the class and size fix
+        _parse(f"{where} key 'max_minor_size'", partial(check_scan_budget, n),
+               call.keywords["max_minor_size"])
     return CriterionSpec(name, call)
 
 
@@ -564,7 +576,7 @@ def analyze_state(state, criteria: list[CriterionSpec], tol: float | None = None
         "entangled_count": entangled,
         "error_count": errors,
         "summary": summary,
-        "arrays": [encoded for _, encoded in arrays.values()],
+        "arrays": [_array_entry(*key) for key in arrays],
     }
 
 

@@ -142,6 +142,17 @@ def min_eig_test(
     return _negativity_verdict(lam, tol, criterion, witness, provenance)
 
 
+def check_scan_budget(size: int, max_minor_size: int) -> None:
+    """ValueError if a full scan of ``size`` rows up to ``max_minor_size`` would
+    take more than ``MINOR_SCAN_BUDGET`` minors."""
+    count = sum(math.comb(size, k) for k in range(1, min(max_minor_size, size) + 1))
+    if count > MINOR_SCAN_BUDGET:
+        raise ValueError(
+            f"a scan of {size} rows up to size {max_minor_size} has {count} minors, "
+            f"above the budget of {MINOR_SCAN_BUDGET}; pass r_list or lower max_minor_size"
+        )
+
+
 def sylvester_scan(
     matrix: np.ndarray | MomentMatrix,
     max_minor_size: int = 4,
@@ -166,13 +177,8 @@ def sylvester_scan(
     size = m.shape[0]
     # runs of equal-size candidates in candidate order, as 0-based index rows
     if r_list is None:
+        check_scan_budget(size, max_minor_size)
         sizes = range(1, min(max_minor_size, size) + 1)
-        count = sum(math.comb(size, k) for k in sizes)
-        if count > MINOR_SCAN_BUDGET:
-            raise ValueError(
-                f"a scan of {size} rows up to size {max_minor_size} has {count} minors, "
-                f"above the budget of {MINOR_SCAN_BUDGET}; pass r_list or lower max_minor_size"
-            )
         runs = (np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(size), k)),
                             np.intp).reshape(-1, k) for k in sizes)
     else:

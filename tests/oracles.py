@@ -2,6 +2,7 @@
 code paths they check, helpers that only tests use, and a traced-allocation
 probe."""
 
+import base64
 import itertools
 import math
 import tracemalloc
@@ -518,15 +519,21 @@ def jsonify_array_elementwise(value: np.ndarray) -> list:
 
 def partial_transpose_b_rule(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """The report's view rule: out[(k,l),(k',l')] = m[(k,l'),(k',l)], row (k, l) at
-    l * d_a + k.  Only the first two axes move, so [re, im] pairs move whole."""
+    l * d_a + k."""
     k, l = np.arange(d_a * d_b) % d_a, np.arange(d_a * d_b) // d_a
     return np.asarray(m)[k[:, None] + d_a * l[None, :], k[None, :] + d_a * l[:, None]]
 
 
+def decode_array(entry: dict) -> np.ndarray:
+    """One entry of a report's ``arrays`` table as the array it was written from."""
+    return np.frombuffer(base64.b64decode(entry["base64"]), entry["dtype"]).reshape(entry["shape"])
+
+
 def resolve_report(report: dict) -> dict:
     """The report with every array reference replaced by the array it names (a view
-    resolved by its rule) and without the ``arrays`` table: the v1 inline form."""
-    arrays = report["arrays"]
+    resolved by its rule) and without the ``arrays`` table: the inline form, with
+    ndarrays where a witness holds an array."""
+    arrays = [decode_array(entry) for entry in report["arrays"]]
     out = {k: v for k, v in report.items() if k != "arrays"}
     out["verdicts"] = []
     for rec in report["verdicts"]:
@@ -544,13 +551,7 @@ def _resolved(arrays: list, value):
     if "view" not in value:
         return base
     assert value["view"] == "partial_transpose_B", f"unknown view {value['view']!r}"
-    return partial_transpose_b_rule(np.array(base), value["d_a"], value["d_b"]).tolist()
-
-
-def _complex_matrix(raw) -> np.ndarray:
-    """A report array ([re, im] pairs or plain numbers) as an ndarray, bit for bit."""
-    a = np.array(raw, dtype=float)
-    return np.ascontiguousarray(a).view(complex)[..., 0] if a.ndim == 3 else a
+    return partial_transpose_b_rule(base, value["d_a"], value["d_b"])
 
 
 def _class_dims(provenance: dict) -> tuple[int, int]:
@@ -597,7 +598,7 @@ def recheck(report: dict) -> int:
         for key, (source, recompute) in _RECHECKS.items():
             if key not in w or w.get("r", ()) is None:  # a scan with no finite minor
                 continue
-            m = _complex_matrix(w[source])
+            m = w[source]
             value = recompute(m, rec["provenance"])
             scale = max(1.0, float(np.max(np.abs(m))) * len(m))
             assert abs(value - w[key]) <= 1e-9 * scale, f"{where}: {key} {w[key]!r}, recomputed {value!r}"

@@ -1,13 +1,17 @@
-"""The structured report (schema ``momentcrit-report/2``): an indented header, one
+"""The structured report (schema ``momentcrit-report/3``): an indented header, one
 compact JSON line per verdict and per array, and the same parsed content as
 ``json.dumps(report, indent=2)``.  Each distinct witness array is written once in
-``arrays``, and a witness refers to it by index, or to a declared view of it."""
+``arrays``, as its dtype, shape and little-endian bytes in base64, and a witness
+refers to it by index, or to a declared view of it."""
 
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from momentcrit.cli import (
     CriterionSpec,
@@ -20,7 +24,7 @@ from momentcrit.cli import (
 )
 from momentcrit.criteria import Outcome, Verdict
 
-from oracles import jsonify_array_elementwise, recheck, resolve_report
+from oracles import decode_array, jsonify_array_elementwise, recheck, resolve_report
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -34,9 +38,14 @@ REPORT_KEYS = ["schema", "state", "verdicts", "entangled_count", "error_count", 
 RECORD_KEYS = ["criterion", "outcome", "witness", "threshold", "tol", "boundary", "provenance"]
 
 
+def _exact(value: np.ndarray) -> list:
+    return [value.dtype.str, list(value.shape), value.tobytes().hex()]
+
+
 def _same(a, b) -> bool:
-    """Equal values and key order; the compact encoding also compares NaN entries."""
-    return json.dumps(a) == json.dumps(b)
+    """Equal values and key order; the compact encoding also compares NaN entries,
+    and ndarrays compare by dtype, shape and bytes."""
+    return json.dumps(a, default=_exact) == json.dumps(b, default=_exact)
 
 
 def _replay(result):
@@ -130,7 +139,91 @@ def test_jsonify_arrays_match_the_elementwise_oracle(value):
     assert json.dumps(_jsonify(value)) == json.dumps(jsonify_array_elementwise(value))
 
 
-# -- the v2 layout on every config and every seed-1 benchmark cell ---------------------
+# -- array entries: exact bytes ------------------------------------------------------
+
+# 8-byte words: -0.0, +inf, -inf, the default NaN, and NaNs with other payloads
+_SPECIAL_BITS = [*np.array([-0.0, np.inf, -np.inf, np.nan], "<f8").view("<i8").tolist(),
+                 0x7FF0_0000_DEAD_BEEF, 0xFFF8_0000_0000_0001 - 2**64]
+
+
+@st.composite
+def _witness_arrays(draw) -> np.ndarray:
+    """0-d, 1-d and 2-d arrays of any bit pattern, special floats included."""
+    dtype = draw(st.sampled_from(["<c16", "<f8", "<i8"]))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+    words = (*shape, 2) if dtype == "<c16" else shape
+    bits = draw(hnp.arrays("<i8", words, elements=st.sampled_from(_SPECIAL_BITS)
+                           | st.integers(-2**63, 2**63 - 1)))
+    return bits.view(dtype).reshape(shape)
+
+
+def _written(witness: dict) -> tuple[dict, list[np.ndarray]]:
+    """The array refs and the decoded array table of a written report whose one
+    verdict holds these witnesses."""
+    v = Verdict("probe", Outcome.INCONCLUSIVE, witness, threshold=0.0, tol=1e-9)
+    report = analyze_state(None, [CriterionSpec("probe", _replay(v))])
+    parsed = json.loads(format_structured(report))
+    refs = {k: ref["array"] for k, ref in parsed["verdicts"][0]["witness"].items()}
+    return refs, [decode_array(entry) for entry in parsed["arrays"]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_witness_arrays())
+def test_array_entries_round_trip_bit_for_bit(value):
+    refs, arrays = _written({"x": value})
+    decoded = arrays[refs["x"]]
+    assert decoded.dtype == value.dtype and decoded.shape == value.shape
+    assert decoded.tobytes() == value.tobytes()
+
+
+def _flip_bit(a: np.ndarray, data) -> tuple[np.ndarray, bool]:
+    if a.size == 0:
+        return a.copy(), True
+    raw = bytearray(a.tobytes())
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+    raw[bit // 8] ^= 1 << (bit % 8)
+    return np.frombuffer(bytes(raw), a.dtype).reshape(a.shape), False
+
+
+def _drawn(a: np.ndarray, data) -> tuple[np.ndarray, bool]:
+    b = data.draw(_witness_arrays())
+    return b, (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+# a second witness made from the first -> (that array, whether it is the same array)
+_VARIANTS = {
+    "copy": lambda a, data: (a.copy(), True),
+    "big-endian": lambda a, data: (a.astype(a.dtype.newbyteorder(">")), True),
+    "fortran-order": lambda a, data: (a.copy(order="F"), True),
+    "flattened": lambda a, data: (a.reshape(-1), a.ndim == 1),
+    "reinterpreted": lambda a, data: (np.atleast_1d(a).view("<i8" if a.dtype == "<f8" else "<f8"),
+                                      False),
+    "bit-flipped": _flip_bit,
+    "drawn": _drawn,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_witness_arrays(), st.sampled_from(sorted(_VARIANTS)), st.data())
+def test_equal_arrays_share_one_entry_and_others_do_not(a, variant, data):
+    b, same = _VARIANTS[variant](a, data)
+    refs, arrays = _written({"a": a, "b": b})
+    assert (refs["a"] == refs["b"]) == same and len(arrays) == 2 - same
+    for key, value in (("a", a), ("b", b)):
+        decoded = arrays[refs[key]]
+        assert decoded.dtype.str[0] in "<|" and decoded.shape == value.shape
+        assert decoded.astype(value.dtype).tobytes() == value.tobytes()
+
+
+def test_a_non_finite_matrix_is_written_as_its_bytes():
+    report = _non_finite_report()
+    (entry,) = report["arrays"]
+    assert entry["dtype"] == "<c16" and entry["shape"] == [1, 2]
+    assert decode_array(entry).tobytes() == np.array([[np.inf, -np.inf + 1j]]).tobytes()
+    assert "Infinity" not in format_structured(report)
+
+
+# -- the v3 layout on every config and every seed-1 benchmark cell ---------------------
 
 
 def _workload_configs(name: str) -> list[dict]:
@@ -158,10 +251,12 @@ def _refs(report: dict) -> list[dict]:
 
 def test_report_keys_and_key_order_are_pinned(analyses):
     for _, report in analyses:
-        assert list(report) == REPORT_KEYS and report["schema"] == "momentcrit-report/2"
+        assert list(report) == REPORT_KEYS and report["schema"] == "momentcrit-report/3"
         for rec in report["verdicts"]:
             assert list(rec) == (RECORD_KEYS if rec["outcome"] != "ERROR"
                                  else ["criterion", "outcome", "error"])
+        for entry in report["arrays"]:
+            assert list(entry) == ["dtype", "shape", "base64"]
 
 
 def test_arrays_are_distinct_and_every_ref_names_one(analyses):
@@ -180,7 +275,9 @@ def test_resolved_report_is_the_inline_form_of_the_verdicts(analyses):
         assert list(resolved) == REPORT_KEYS[:-1]
         records = [rec for rec in resolved["verdicts"] if rec["outcome"] != "ERROR"]
         inline = [{"criterion": v.criterion, "outcome": v.outcome.value,
-                   "witness": _jsonify(v.witness), "threshold": v.threshold, "tol": v.tol,
+                   "witness": {k: x if isinstance(x, np.ndarray) else _jsonify(x)
+                               for k, x in v.witness.items()},
+                   "threshold": v.threshold, "tol": v.tol,
                    "boundary": v.boundary, "provenance": _jsonify(v.provenance)}
                   for v in verdicts]
         assert _same(records, inline)

@@ -26,7 +26,7 @@ from momentcrit.fock import Monomial
 from momentcrit.moments import OperatorClass, TableSource, moment
 from momentcrit import states
 
-from oracles import complete_table
+from oracles import complete_table, decode_array
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -136,7 +136,7 @@ def test_cli_analyze_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_ENTANGLED
     payload = json.loads(out)
-    assert payload["schema"] == "momentcrit-report/2"
+    assert payload["schema"] == "momentcrit-report/3"
     assert payload["entangled_count"] == 1
 
     cfg["state"] = {"library": "product_coherent", "params": {"alpha": 0.2, "beta": 0.1}}
@@ -354,6 +354,34 @@ def test_cli_refuses_rows_outside_the_class_before_building(tmp_path, capsys, cr
     assert captured.out == "" and named in captured.err
 
 
+_SIDE_A = ["1", "a", "A", "Aa", "aa", "AA", "aaa"]
+_SIDE_B = [op.replace("a", "b").replace("A", "B") for op in _SIDE_A]
+
+
+@pytest.mark.parametrize("entry, named", [
+    # a scan of 6.9e10 minors ended as an ERROR record, exit 4
+    ({"max_minor_size": 99, "class": {"side_a": _SIDE_A[:6], "side_b": _SIDE_B[:6]}},
+     "criteria[0] (pt_sylvester) key 'max_minor_size': a scan of 36 rows up to size 99 has "
+     "68719476735 minors, above the budget of 100000"),
+    # the default size 4 is over the budget from 49 rows on
+    ({"class": {"side_a": _SIDE_A, "side_b": _SIDE_B}},
+     "criteria[0] (pt_sylvester) key 'max_minor_size': a scan of 49 rows up to size 4 has "
+     "231525 minors"),
+])
+def test_cli_refuses_a_full_scan_over_the_minor_budget_before_building(tmp_path, capsys, entry,
+                                                                      named):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"state": {"library": "singlet"},
+                                "criteria": [{"name": "pt_sylvester", **entry}]}))
+    assert main(["analyze", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+    # listed rows are no full scan, so the size does not count against the budget
+    for rows in ({"r": [1, 4]}, {"r_list": [[1, 4]]}):
+        RunConfig.from_dict({"state": {"library": "singlet"},
+                             "criteria": [{"name": "pt_sylvester", **entry, **rows}]})
+
+
 @pytest.mark.parametrize("library", ["singlet", "cat_prime"])
 @pytest.mark.parametrize("via", ["config", "flag"])
 def test_cli_refuses_cutoff_zero(tmp_path, capsys, library, via):
@@ -451,11 +479,11 @@ def test_cli_complex_serialization(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == EXIT_ENTANGLED
     sub = payload["arrays"][payload["verdicts"][0]["witness"]["submatrix"]["array"]]
-    # complex entries serialized as [re, im] pairs of the in-memory witness
+    # complex entries written as the bytes of a complex array
     std = OperatorClass.from_strings(["1", "a"], ["1", "b"])
     expected = pt_sylvester_test(states.singlet(), std, r_list=[(1, 4)]).witness["submatrix"]
-    assert np.array(sub).shape == (2, 2, 2)
-    np.testing.assert_allclose(np.array(sub) @ [1, 1j], expected, atol=1e-15)
+    assert (sub["dtype"], sub["shape"]) == ("<c16", [2, 2])
+    np.testing.assert_allclose(decode_array(sub), expected, atol=1e-15)
 
 
 def test_cli_list_commands(capsys):
