@@ -1,5 +1,7 @@
 """Entanglement detection for truncated bosonic states via matrices of moments."""
 
+import importlib
+
 from .errors import (
     DegenerateStateError,
     DimensionError,
@@ -75,7 +77,15 @@ from .reconstruct import (
     state_level_tests,
     two_qubit_density,
 )
-from .regression import norm_ordering_records, run_regression_suite
 from . import states
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """``regression`` and its entry points load on first use, so ``cli`` does not
+    import the suite and its samplers."""
+    if name not in ("regression", "run_regression_suite", "norm_ordering_records"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    regression = importlib.import_module(".regression", __name__)
+    return regression if name == "regression" else getattr(regression, name)

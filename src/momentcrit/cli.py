@@ -56,8 +56,8 @@ from .criteria import (
     resolve_tol,
     sv_cat_state_test,
 )
-from .fock import DensityMatrix, ModeCutoffs, Monomial, StateVector
-from .moments import GenericClass, OperatorClass, _checked_rows
+from .fock import DensityMatrix, ModeCutoffs, StateVector
+from .moments import GenericClass, OperatorClass, _checked_rows, _complex_from
 from .posmaps import (
     BreuerParams,
     ChoiParams,
@@ -70,7 +70,6 @@ from .posmaps import (
     stormer_map,
 )
 from .reconstruct import TableSource, reconstruct_density, state_level_tests, two_qubit_density
-from .regression import run_regression_suite
 from .states import build_state, list_states
 
 REPORT_SCHEMA = "momentcrit-report/3"
@@ -136,17 +135,8 @@ def _parse(where: str, convert, value):
     """convert(value); a value of the wrong shape is a ConfigError that names where."""
     try:
         return convert(value)
-    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+    except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _complex_from(pair) -> complex:
-    """A number or [re, im] pair as a complex, refusing JSON booleans, which complex()
-    reads as 0 and 1."""
-    parts = pair if isinstance(pair, list) and len(pair) == 2 else [pair]
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in parts):
-        raise ConfigError(f"expected a number or [re, im] pair, got {pair!r}")
-    return complex(*parts)
 
 
 def _leaf_types(raw, depth: int) -> set:
@@ -274,18 +264,15 @@ def _state_from_config(cfg: RunConfig):
             return build_state(spec["library"], params, cutoff=cfg.cutoff, epsilon=cfg.epsilon)
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
-        except TypeError as exc:  # a parameter the library state does not take
+        except (TypeError, OverflowError) as exc:  # a parameter it does not take, a huge int
             raise ConfigError(f"state.params: {exc}") from exc
     if kind == "moments":
         if spec.get("dims") is None:
             raise ConfigError("state.moments requires state.dims")
         dims = _parse("state.dims", _dims, spec["dims"])
-        table = _parse(
-            "state.moments",
-            lambda m: {Monomial.from_string(k, len(dims)): _complex_from(v) for k, v in m.items()},
-            spec["moments"],
-        )
-        return TableSource(table, len(dims), label=spec.get("label", "moment-table"), dims=dims)
+        label = spec.get("label", "moment-table")
+        return _parse("state.moments",
+                      lambda m: TableSource(m, len(dims), label=label, dims=dims), spec["moments"])
     make = StateVector if kind == "amplitudes" else DensityMatrix
     cutoffs = ModeCutoffs(_parse("state.cutoffs", _ints, spec["cutoffs"]))
     return make(cutoffs, spec[kind], label=spec.get("label", "custom"))
@@ -673,6 +660,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     if args.command == "regress":
+        from .regression import run_regression_suite  # only here: it imports the samplers
+
         report = run_regression_suite()
         if args.format == "structured":
             payload = {

@@ -30,6 +30,7 @@ DENSE_DIMENSION_CAP = 4096
 MOMENT_WORKING_CAP = 1 << 21
 
 _MODE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_MODE_UPPER = _MODE_LETTERS.upper()
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,7 @@ class ModeCutoffs:
         return math.prod(self.cutoffs)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(tuple):
     """Normally ordered ladder monomial  prod_q (a_q^dag)^{n_q} a_q^{m_q}.
 
     ``powers[q] = (n_q, m_q)`` holds the creation and annihilation powers of
@@ -69,64 +69,73 @@ class Monomial:
     b <-> mode 1, ...), uppercase for creation and lowercase for annihilation:
     "Aa" is the number operator of mode 0, "ab" annihilates one quantum in
     each of the first two modes and "1" is the identity.
+
+    A monomial is the tuple of its powers, so hashing and equality run in C
+    (monomials are dict keys throughout ``moments``).  It therefore equals, and
+    hashes like, the plain tuple of its powers.  ``Monomial(powers)`` converts and
+    checks its input; the constructors below build from powers known to be valid.
     """
 
-    powers: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        powers = tuple((int(n), int(m)) for n, m in self.powers)
-        object.__setattr__(self, "powers", powers)
+    def __new__(cls, powers):
+        powers = tuple((int(n), int(m)) for n, m in powers)
         if any(n < 0 or m < 0 for n, m in powers):
             raise ValueError(f"ladder powers must be nonnegative, got {powers}")
+        return tuple.__new__(cls, powers)
+
+    # Monomial._unchecked(powers): from pairs of nonnegative ints, as the package's own
+    # constructions make them, with no Python frame
+    _unchecked = classmethod(tuple.__new__)
+
+    def __repr__(self) -> str:
+        return f"Monomial(powers={tuple(self)!r})"
+
+    @property
+    def powers(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self)
 
     @property
     def num_modes(self) -> int:
-        return len(self.powers)
+        return len(self)
 
     @classmethod
     def identity(cls, num_modes: int) -> "Monomial":
-        return cls(((0, 0),) * num_modes)
+        return cls._unchecked(((0, 0),) * num_modes)
 
     @classmethod
     def from_string(cls, text: str, num_modes: int) -> "Monomial":
         """Parse the compact letter form, e.g. ``"Ab"`` -> a^dag b."""
         text = text.strip()
-        creation = [0] * num_modes
-        annihilation = [0] * num_modes
-        if text not in ("1", ""):
-            for ch in text:
-                low = ch.lower()
-                if low not in _MODE_LETTERS[:num_modes]:
-                    raise ValueError(
-                        f"unknown mode letter {ch!r} in {text!r} for {num_modes} modes"
-                    )
-                mode = _MODE_LETTERS.index(low)
-                if ch.isupper():
-                    creation[mode] += 1
-                else:
-                    annihilation[mode] += 1
-        return cls(tuple(zip(creation, annihilation)))
+        if text == "1":
+            text = ""
+        lower, upper = _MODE_LETTERS[:num_modes], _MODE_UPPER[:num_modes]
+        if text.strip(lower + upper):  # some character names no mode
+            ch = next(ch for ch in text if ch not in lower + upper)
+            raise ValueError(f"unknown mode letter {ch!r} in {text!r} for {num_modes} modes")
+        powers = [(text.count(c), text.count(a)) for c, a in zip(upper, lower)]
+        return cls._unchecked(powers + [(0, 0)] * (num_modes - len(lower)))
 
     def to_string(self) -> str:
         parts = []
-        for mode, (n, m) in enumerate(self.powers):
-            parts.append(_MODE_LETTERS[mode].upper() * n)
-        for mode, (n, m) in enumerate(self.powers):
+        for mode, (n, m) in enumerate(self):
+            parts.append(_MODE_UPPER[mode] * n)
+        for mode, (n, m) in enumerate(self):
             parts.append(_MODE_LETTERS[mode] * m)
         s = "".join(parts)
         return s if s else "1"
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(q for q, (n, m) in enumerate(self.powers) if n or m)
+        return tuple(q for q, (n, m) in enumerate(self) if n or m)
 
     def dagger(self) -> "Monomial":
         """Hermitian adjoint; again normally ordered with (n, m) swapped."""
-        return Monomial(tuple((m, n) for n, m in self.powers))
+        return Monomial._unchecked([(m, n) for n, m in self])
 
     def restricted_to(self, modes: tuple[int, ...]) -> "Monomial":
-        return Monomial(
-            tuple((n, m) if q in modes else (0, 0) for q, (n, m) in enumerate(self.powers))
+        return Monomial._unchecked(
+            [(n, m) if q in modes else (0, 0) for q, (n, m) in enumerate(self)]
         )
 
     def merged_with(self, other: "Monomial") -> "Monomial":
@@ -135,11 +144,8 @@ class Monomial:
             raise DimensionError("monomials act on different numbers of modes")
         if set(self.support) & set(other.support):
             raise ValueError("cannot merge monomials with overlapping mode support")
-        return Monomial(
-            tuple(
-                (n1 + n2, m1 + m2)
-                for (n1, m1), (n2, m2) in zip(self.powers, other.powers)
-            )
+        return Monomial._unchecked(
+            [(n1 + n2, m1 + m2) for (n1, m1), (n2, m2) in zip(self, other)]
         )
 
 

@@ -207,39 +207,68 @@ class MomentMatrix:
         return float(np.trace(self.entries).real)
 
 
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _complex_from(raw) -> complex:
+    """A number, or an [re, im] pair of real numbers as a config writes it, as a complex.
+
+    Booleans, which complex() reads as 0 and 1, and strings, which it parses, are refused.
+    """
+    if isinstance(raw, list) and len(raw) == 2:
+        re, im = raw
+        if isinstance(re, _REAL_TYPES) and isinstance(im, _REAL_TYPES) and bool not in (
+                type(re), type(im)):
+            return complex(re, im)
+    elif isinstance(raw, (*_REAL_TYPES, complex, np.complexfloating)) and type(raw) is not bool:
+        return complex(raw)
+    raise TypeError(f"expected a number or [re, im] pair, got {raw!r}")
+
+
 class TableSource:
     """Moment source backed by an explicit table {Monomial: value}.
 
-    Every value must be finite, and conjugate consistency is validated:
-    whenever a spec and its adjoint both appear, their values must be complex
-    conjugates within 1e-10.  ``dims`` optionally records the per-mode
-    dimensions of the measured state, which reconstruction needs and never
-    infers.
+    The table is read in one pass.  A key is a ``Monomial`` or its letter string
+    (``Monomial.from_string``), in any letter order, and two keys that name one
+    monomial are refused.  A value is a number or an [re, im] pair; every value must
+    be finite, and conjugate consistency is validated: whenever a spec and its
+    adjoint both appear, their values must be complex conjugates within 1e-10.
+    ``table`` keeps the listed values; a lookup also answers each listed spec's
+    adjoint.  ``dims`` optionally records the per-mode dimensions of the measured
+    state, which reconstruction needs and never infers.
     """
 
-    def __init__(
-        self, table: dict[Monomial, complex], num_modes: int, label: str = "table", dims=None
-    ):
-        self.table = {spec: complex(v) for spec, v in table.items()}
+    def __init__(self, table: dict, num_modes: int, label: str = "table", dims=None):
         self.num_modes = int(num_modes)
         self.label = label
         self.dims = None if dims is None else tuple(int(d) for d in dims)
         self._grams: dict[tuple[Monomial, ...], np.ndarray] = {}  # see _gram_moments
-        for spec, value in self.table.items():
-            if not np.isfinite(value):
+        self.table: dict[Monomial, complex] = {}
+        self._lookup: dict[Monomial, complex] = {}  # listed values and their adjoints'
+        spelled = {}
+        for key, raw in table.items():
+            spec = Monomial.from_string(key, self.num_modes) if isinstance(key, str) else key
+            if spec in spelled:
+                raise ValueError(f"keys {spelled[spec]!r} and {key!r} name one monomial, "
+                                 f"{spec.to_string()}")
+            spelled[spec] = key
+            value = _complex_from(raw)
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise InconsistentMomentsError(
                     f"moment table value for {spec.to_string()} is not finite: {value}"
                 )
-            partner = self.table.get(spec.dagger())
+            adjoint = spec.dagger()
+            partner = value if adjoint == spec else self.table.get(adjoint)
             if partner is not None and abs(partner - value.conjugate()) > 1e-10:
                 raise InconsistentMomentsError(
-                    f"table values for {spec.to_string()} and its adjoint are not conjugate"
+                    f"table values for {adjoint.to_string()} and its adjoint are not conjugate"
                 )
+            self.table[spec] = self._lookup[spec] = value
+            self._lookup.setdefault(adjoint, value.conjugate())
 
     def moment(self, spec: Monomial) -> complex:
         """<spec> by lookup, from the adjoint's value when only that is listed."""
-        value = self.table.get(spec)
-        return self.table[spec.dagger()].conjugate() if value is None else value
+        return self._lookup[spec]
 
 
 def moment(source: State | TableSource, spec: Monomial) -> complex:
@@ -258,7 +287,7 @@ def normal_order(factors: tuple[Monomial, ...]) -> list[tuple[int, Monomial]]:
     for q in range(factors[0].num_modes):
         terms = {(0, 0): 1}
         for factor in factors:
-            p, r = factor.powers[q]
+            p, r = factor[q]
             grown: dict[tuple[int, int], int] = {}
             for (n, m), c in terms.items():
                 for k in range(min(m, p) + 1):
@@ -268,7 +297,7 @@ def normal_order(factors: tuple[Monomial, ...]) -> list[tuple[int, Monomial]]:
             terms = grown
         per_mode.append(terms.items())
     return [
-        (math.prod(c for _, c in combo), Monomial(tuple(powers for powers, _ in combo)))
+        (math.prod(c for _, c in combo), Monomial._unchecked([powers for powers, _ in combo]))
         for combo in itertools.product(*per_mode)
     ]
 
@@ -287,8 +316,8 @@ def _ordering_map(products: tuple[tuple[Monomial, ...], ...]):
             term.append(column.setdefault(spec, len(column)))
             coef.append(float(c))
     ann: dict[Monomial, int] = {}
-    rows = [ann.setdefault(Monomial(tuple((0, n) for n, _ in s.powers)), len(ann)) for s in column]
-    cols = [ann.setdefault(Monomial(tuple((0, m) for _, m in s.powers)), len(ann)) for s in column]
+    rows = [ann.setdefault(Monomial._unchecked([(0, n) for n, _ in s]), len(ann)) for s in column]
+    cols = [ann.setdefault(Monomial._unchecked([(0, m) for _, m in s]), len(ann)) for s in column]
     return tuple(column), tuple(ann), tuple(map(np.array, (starts, term, coef, rows, cols)))
 
 
@@ -297,8 +326,7 @@ def _expectations(source: State | TableSource, products) -> np.ndarray:
     has named every term it lacks, a state reads them off one memoised Gram matrix."""
     specs, ann, (starts, term, coef, rows, cols) = _ordering_map(products)
     if isinstance(source, TableSource):
-        table = source.table
-        if missing := {s.to_string() for s in specs if s not in table and s.dagger() not in table}:
+        if missing := {s.to_string() for s in specs if s not in source._lookup}:
             raise MissingMomentError(sorted(missing))
         values = np.array([source.moment(s) for s in specs])
     else:
@@ -317,7 +345,7 @@ def op_expectation(source: State | TableSource, factors: tuple[Monomial, ...]) -
 
 def _hermitian_batch(source: TableSource, n: int, pair) -> np.ndarray:
     """Hermitian n x n matrix of <pair(i, j)>: one batch over i <= j, mirrored below."""
-    i, j = np.triu_indices(n)
+    i, j = zip(*itertools.combinations_with_replacement(range(n), 2))  # np.triu_indices(n)
     upper = np.zeros((n, n), dtype=complex)
     upper[i, j] = _expectations(source, tuple(map(pair, i, j)))
     return upper + np.triu(upper, 1).conj().T
@@ -379,7 +407,8 @@ def _compute_gram(source: State | TableSource, ops: tuple[Monomial, ...]) -> np.
     """Matrix of <ops_i^dag ops_j>: one batch on a table, shift tables on a state's own basis."""
     n = len(ops)
     if isinstance(source, TableSource):
-        return _hermitian_batch(source, n, lambda i, j: (ops[i].dagger(), ops[j]))
+        adjoints = [op.dagger() for op in ops]
+        return _hermitian_batch(source, n, lambda i, j: (adjoints[i], ops[j]))
     src, weight = shift_tables(ops, source.cutoffs.cutoffs)
     # src -1 reads the last entry, which a zero weight cancels
     if isinstance(source, StateVector):
@@ -430,8 +459,9 @@ def build_generic_moment_matrix(state: State | TableSource, cls: GenericClass) -
         raise DimensionError("operator class and state disagree on the number of modes")
     products, idx = _pt_products(cls)
     if isinstance(state, TableSource):
+        adjoints, at = [p.dagger() for p in products], idx.tolist()
         entries = _hermitian_batch(
-            state, cls.size, lambda i, j: (products[idx[i, j]].dagger(), products[idx[j, i]]))
+            state, cls.size, lambda i, j: (adjoints[at[i][j]], products[at[j][i]]))
     else:
         entries = _gram_moments(state, products)[idx, idx.T]
     return MomentMatrix(entries)

@@ -128,10 +128,14 @@ class KossakowskiParams:
     """Rotation map data: dimension n and rotation R on the generator space
     (default: the identity).
 
-    This is the y = 0 member of the family (the usage this package needs).
-    Positivity with the rotation is additionally checked empirically at
-    construction, on 200 seeded random PSD inputs at once; the superoperator
-    built for that check is the one ``kossakowski_map`` uses.
+    This is the y = 0 member of the family (the usage this package needs).  It is
+    positive for every orthogonal R.  Write a state as rho = I/n + sum_j r_j g_j over
+    the orthonormal generators g_j; a pure state has |r|^2 = Tr rho^2 - 1/n = (n-1)/n.
+    The map sends r to R r / (n - 1), of length 1/sqrt(n (n - 1)) for a pure state,
+    and I/n + s.g is positive semidefinite whenever |s| <= 1/sqrt(n (n - 1)), the
+    radius of the largest ball about I/n inside the state space.  So every pure
+    state, and by linearity every PSD input, maps to a PSD output; only the rotation
+    itself is checked (``_check_rotation``).
     """
 
     n: int
@@ -145,14 +149,7 @@ class KossakowskiParams:
         dim = n * n - 1
         rotation = _check_rotation(np.eye(dim) if self.rotation is None else self.rotation, dim)
         object.__setattr__(self, "rotation", rotation)
-        matrix = _kossakowski_matrix(n, rotation)
-        draws = np.random.default_rng(20200512).standard_normal((200, 2, n, n))
-        z = draws[:, 0] + 1j * draws[:, 1]
-        psd = z @ z.conj().transpose(0, 2, 1)
-        out = (psd.reshape(200, -1) @ matrix.T).reshape(200, n, n)
-        if np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2)[:, 0].min() < -1e-10:
-            raise ValueError("rotation map failed the empirical positivity check")
-        object.__setattr__(self, "_superoperator", matrix)
+        object.__setattr__(self, "_superoperator", _kossakowski_matrix(n, rotation))
 
 
 def _check_breuer_dim(d: int) -> None:

@@ -73,7 +73,7 @@ def _series_terms(
     modes, d = len(dims), math.prod(dims)
     if d**3 > MOMENT_WORKING_CAP:
         raise DimensionError(f"dims {dims} give {d**3} series terms, above {MOMENT_WORKING_CAP}")
-    ops = tuple(Monomial(tuple((0, n) for n in occ)) for occ in np.ndindex(*dims))
+    ops = tuple(Monomial._unchecked([(0, n) for n in occ]) for occ in np.ndindex(*dims))
     gram = _gram_moments(source, ops)
     coef, rows, cols = 1.0, 0, 0
     for q, dq in enumerate(dims):

@@ -145,6 +145,24 @@ def complete_table(state, max_power: int) -> TableSource:
     return TableSource({spec: moment(state, spec) for spec in specs}, state.num_modes, "table")
 
 
+def per_key_table(moments: dict, num_modes: int) -> dict:
+    """A config's moment table read key by key, as the CLI read it before the one-pass
+    reader: each key parsed letter by letter into a checked ``Monomial``, each
+    number or [re, im] pair through complex(), in the config's key order."""
+    letters = "abcdefghijklmnopqrstuvwxyz"[:num_modes]
+    table = {}
+    for text, value in moments.items():
+        text = text.strip()
+        creation, annihilation = [0] * num_modes, [0] * num_modes
+        for ch in "" if text == "1" else text:
+            if ch.lower() not in letters:
+                raise ValueError(f"unknown mode letter {ch!r} in {text!r}")
+            (creation if ch.isupper() else annihilation)[letters.index(ch.lower())] += 1
+        spec = Monomial(tuple(zip(creation, annihilation)))
+        table[spec] = complex(*value) if isinstance(value, list) else complex(value)
+    return table
+
+
 def _same_kind(state, amplitudes, matrix, cutoffs):
     """The state of the same kind carrying the given amplitude map and cutoffs."""
     if isinstance(state, StateVector):

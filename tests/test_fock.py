@@ -1,8 +1,9 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momentcrit.errors import (
@@ -117,6 +118,57 @@ def test_monomial_string_round_trip():
     assert Monomial.from_string("1", 3).powers == ((0, 0),) * 3
     with pytest.raises(ValueError):
         Monomial.from_string("c", 2)
+
+
+_POWERS = st.integers(1, 4).flatmap(
+    lambda modes: st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=modes, max_size=modes))
+
+
+@given(_POWERS, st.randoms(use_true_random=False))
+def test_monomial_is_a_value_of_its_powers(powers, rnd):
+    m = Monomial(powers)
+    assert m.powers == tuple(powers) and m.num_modes == len(powers)
+    # the letter form round-trips, in any letter order
+    letters = list(m.to_string())
+    rnd.shuffle(letters)
+    assert Monomial.from_string(m.to_string(), m.num_modes) == m
+    assert Monomial.from_string("".join(letters), m.num_modes) == m
+    # equal powers, however built, are one dict key
+    again = Monomial([[n, m_] for n, m_ in powers])
+    assert again == m and hash(again) == hash(m) and {m: 1}[again] == 1
+    assert m.dagger().dagger() == m
+    assert m.dagger().powers == tuple((b, a) for a, b in powers)
+    assert repr(m) == f"Monomial(powers={tuple(powers)!r})"
+
+
+def test_a_monomial_equals_the_plain_tuple_of_its_powers():
+    # a Monomial is a tuple subclass, so == and hash are tuple's: it equals, and looks up
+    # as, the plain tuple of its powers
+    m = Monomial(((1, 0), (0, 2)))
+    assert m == ((1, 0), (0, 2)) and hash(m) == hash(((1, 0), (0, 2)))
+    assert {((1, 0), (0, 2)): "x"}[m] == "x"
+    assert type(m.powers) is tuple and type(m.dagger()) is Monomial
+
+
+@given(st.integers(1, 3), st.data())
+def test_monomial_parsing_refuses_letters_of_no_mode(modes, data):
+    allowed = "abc"[:modes] + "ABC"[:modes]
+    good = data.draw(st.text(alphabet=allowed, max_size=4))
+    bad = data.draw(st.characters(blacklist_characters=list(allowed)).filter(
+        lambda ch: not ch.isspace()))
+    text = (good + bad + data.draw(st.text(max_size=4))).strip()
+    assume(text != "1")
+    with pytest.raises(ValueError) as err:
+        Monomial.from_string(text, modes)
+    assert str(err.value) == f"unknown mode letter {bad!r} in {text!r} for {modes} modes"
+
+
+@pytest.mark.parametrize("powers", [((-1, 0),), ((0, 0), (2, -3))])
+def test_monomial_refuses_negative_powers(powers):
+    with pytest.raises(ValueError, match=r"ladder powers must be nonnegative, got "
+                                          + re.escape(str(powers))):
+        Monomial(powers)
 
 
 def test_monomial_dagger_and_conjugation():

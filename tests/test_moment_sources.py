@@ -32,6 +32,7 @@ from oracles import (
     complete_table,
     monomial_matrix,
     per_entry_hermitian,
+    per_key_table,
     per_term_expectation,
 )
 
@@ -180,6 +181,29 @@ def test_batches_match_the_per_term_oracle(case):
             continue
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(batch() - want)) <= 1e-12 * scale
+
+
+def _table_configs() -> list[dict]:
+    """Every moment-table config: the examples and the seed-1 small_battery cells."""
+    configs = [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(CONFIGS.parent / "perfbench"))
+        import workloads
+
+        configs += [cell.config for cell in workloads.generate("small_battery", 1)]
+    return [c for c in configs if "moments" in c["state"]]
+
+
+def test_one_pass_reader_gives_the_per_key_table_bit_for_bit():
+    configs = _table_configs()
+    assert len(configs) == 17  # two examples and 15 benchmark cells
+    for config in configs:
+        source = _state_from_config(RunConfig.from_dict(config))
+        want = per_key_table(config["state"]["moments"], len(config["state"]["dims"]))
+        assert list(source.table) == list(want)
+        assert all(type(spec) is Monomial for spec in source.table)
+        got_values, want_values = (np.array(list(t.values())) for t in (source.table, want))
+        assert got_values.tobytes() == want_values.tobytes()
 
 
 def test_missing_monomial_is_named():

@@ -2,6 +2,9 @@ import contextlib
 import copy
 import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -659,3 +662,84 @@ def test_cli_refuses_non_finite_state_values(tmp_path, capsys, state, named):
     assert main(["analyze", str(path)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == "" and named in captured.err and "finite" in captured.err
+
+
+_HUGE = 10**400  # json reads it as an int; float() and complex() overflow on it
+
+
+def _with_table_entry(key: str, value) -> dict:
+    config = json.loads((CONFIGS / "moment_table_ppt.json").read_text())
+    config["state"]["moments"][key] = value
+    return config
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        (_with_table_entry("Aa", _HUGE), "state.moments: "),
+        (_with_table_entry("Aa", [0.5, _HUGE]), "state.moments: "),
+        ({"state": {"amplitudes": [_HUGE, 0, 0, 0], "cutoffs": [2, 2]}}, "state.amplitudes: "),
+        ({"state": {"density": [[_HUGE, 0], [0, 0]], "cutoffs": [2]}}, "state.density: "),
+        ({"state": {"library": "singlet"}, "tol": _HUGE}, "tol: "),
+        ({"state": {"library": "singlet"}, "epsilon": _HUGE}, "epsilon: "),
+        ({"state": {"library": "singlet"},
+          "criteria": [{"name": "map", "map": {"kind": "choi", "alpha": _HUGE}}]},
+         "criteria[0] (map) key 'map': alpha: "),
+        ({"state": {"library": "singlet"},
+          "criteria": [{"name": "map", "map": {"kind": "breuer", "phases": [_HUGE, 0]}}]},
+         "criteria[0] (map) key 'map': phases: "),
+        ({"state": {"library": "product_coherent", "params": {"alpha": _HUGE}}},
+         "state.params: "),
+    ],
+    ids=["table-value", "table-pair", "amplitudes", "density", "tol", "epsilon", "choi-alpha",
+         "breuer-phases", "library-params"],
+)
+def test_cli_refuses_a_huge_integer_naming_its_field(tmp_path, capsys, config, named):
+    # float(10**400) raises OverflowError, which ended in a traceback and exit 1
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["analyze", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {named}int too large to convert to float\n"
+
+
+@pytest.mark.parametrize("first, second, value", [("Aa", "aA", [123, 0]), ("Ab", "bA", [-0.5, 0])])
+def test_cli_refuses_two_spellings_of_one_table_monomial(tmp_path, capsys, first, second, value):
+    # the later spelling silently won: "aA": [123, 0] ended as an ERROR record blaming
+    # reconstruction (min eigenvalue -1.22e+02), exit 4
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_with_table_entry(second, value)))
+    assert main(["analyze", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"state.moments: keys {first!r} and {second!r} name one monomial" in captured.err
+
+
+def test_a_single_spelling_in_any_letter_order_reads_as_the_canonical_one(tmp_path, capsys):
+    config = json.loads((CONFIGS / "moment_table_ppt.json").read_text())
+    moments = config["state"]["moments"]
+    reports = []
+    for table in (moments, {k[::-1]: v for k, v in moments.items()}):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**config, "state": {**config["state"], "moments": table}}))
+        main(["analyze", str(path), "--format", "structured"])
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]
+    assert reports[0].err == "" and '"outcome": "ERROR"' not in reports[0].out
+
+
+def test_importing_the_cli_leaves_the_regression_suite_unloaded():
+    code = (
+        "import sys, momentcrit.cli\n"
+        "assert 'momentcrit.regression' not in sys.modules, 'regression imported'\n"
+        "assert 'momentcrit.sampling' not in sys.modules, 'sampling imported'\n"
+        "from momentcrit import norm_ordering_records, regression, run_regression_suite\n"
+        "assert run_regression_suite is regression.run_regression_suite\n"
+        "assert norm_ordering_records is regression.norm_ordering_records\n"
+    )
+    src = str(CONFIGS.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
